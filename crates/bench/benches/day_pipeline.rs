@@ -1,7 +1,7 @@
 //! Sequential vs speculative supervised-day driving (DESIGN.md §15).
 //!
 //! Runs the same multi-day supervised detection run twice — once through
-//! the plain sequential driver with cross-day caching off
+//! the plain sequential day loop with solver caching off
 //! (`SupervisedRun::run`), once through the speculative day pipeline with
 //! the [`DayCacheConfig`] persistent caches on
 //! (`SupervisedRun::run_speculative`) — proves the two are bit-identical,
@@ -149,18 +149,33 @@ fn bench(c: &mut Criterion) {
     // One more cached run, stepped by hand, to harvest the main-thread
     // cache counters (the timed runs consume themselves before they can be
     // asked). Deterministic, so these are exactly the sequential-cached
-    // run's statistics.
+    // run's statistics. Every customer is cacheable and there is no
+    // detector (so no prediction cache traffic), and each day's solves
+    // evict the previous day's customers: after any day the caches hold
+    // at most one day of clearing — `clearing_iterations` fixed-point
+    // solves plus the final one.
+    let bound = scenario.customers * scenario.game.max_rounds * (config.clearing_iterations + 1);
     let mut probe = build(&scenario, &config, DayCacheConfig::on());
+    let mut peak_entries = 0;
     while !probe.is_finished() {
         probe.step_day().expect("probe day");
+        let entries = probe.cache_entries();
+        assert!(
+            entries <= bound,
+            "day {}: caches hold {entries} entries, more than one day's {bound}",
+            probe.completed_days()
+        );
+        peak_entries = peak_entries.max(entries);
     }
     let stats = probe.cache_stats();
+    let evictions = probe.cache_evictions();
     probe.finish().expect("probe finishes");
 
     println!("\n=== Day pipeline ({days} detection days, bit-identical) ===");
     println!(
         "day_pipeline | seq {seq_secs:>7.2}s | spec {spec_secs:>7.2}s | {:>5.2}x | \
-         cache hit rate {:.1}% | {report:?}",
+         cache hit rate {:.1}% | entries peak {peak_entries} (bound {bound}) | \
+         evictions {evictions} | {report:?}",
         seq_secs / spec_secs.max(1e-9),
         100.0 * stats.hit_rate(),
     );

@@ -112,7 +112,7 @@ impl LoadPredictor {
     /// [`LoadPredictor::predict_recorded`] backed by a cross-solve
     /// [`PersistentCache`] (see [`GameEngine::solve_persistent_recorded`]):
     /// pure-DP best responses the cache has seen — in this prediction or an
-    /// earlier day's — skip the re-solve. Hits are exact-verified, so the
+    /// earlier one of the same community — skip the re-solve. Hits are exact-verified, so the
     /// result is bit-identical to [`LoadPredictor::predict_recorded`] under
     /// the same seed.
     ///

@@ -8,6 +8,25 @@
 //! tests assert on them, so a rename is a compile error instead of a
 //! dashboard that quietly flatlines.
 
+/// Best-response memo cache metrics emitted by the `nms-solver` game
+/// engine and the `nms-sim` supervised runner (DESIGN.md §15).
+pub mod solver {
+    /// Counter: best-response invocations answered from a persistent cache.
+    pub const CACHE_HITS: &str = "solver_cache_hits";
+    /// Counter: best-response invocations recomputed under a persistent
+    /// cache (including the ineligible ones).
+    pub const CACHE_MISSES: &str = "solver_cache_misses";
+    /// Counter: misses that could not be cached at all (battery-active
+    /// customers, whose response consumes the CE RNG stream).
+    pub const CACHE_INELIGIBLE: &str = "solver_cache_ineligible";
+    /// Counter: entries evicted because their customer left the community
+    /// being solved.
+    pub const CACHE_EVICTIONS: &str = "solver_cache_evictions";
+    /// Gauge: entries held by a supervised run's caches after its latest
+    /// day.
+    pub const CACHE_ENTRIES: &str = "solver_cache_entries";
+}
+
 /// Speculative day-pipeline metrics emitted by the `nms-sim` supervised
 /// runner (DESIGN.md §15).
 pub mod pipeline {

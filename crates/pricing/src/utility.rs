@@ -30,8 +30,8 @@ pub struct UtilityConfig {
     /// clearing iteration a map on a *finite* price set, so it reaches a
     /// bitwise-exact fixed point (or short cycle) instead of chasing the
     /// last float bits of a chaotic game equilibrium forever — which is
-    /// what lets a cross-day solver cache answer repeat clearings
-    /// wholesale.
+    /// what lets a persistent solver cache answer a day's repeat clearing
+    /// iterations wholesale.
     #[serde(default)]
     pub price_quantum: f64,
 }

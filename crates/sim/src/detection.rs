@@ -30,7 +30,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use nms_obs::{span, NoopRecorder, Recorder, Stopwatch, TraceEvent};
+use nms_obs::{names, span, NoopRecorder, Recorder, Stopwatch, TraceEvent};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -567,7 +567,7 @@ fn simulate_day(
     )
 }
 
-/// [`simulate_day`] with optional cross-day solver caches for the market
+/// [`simulate_day`] with optional run-long solver caches for the market
 /// clearing and the detector's load prediction. `None` for both is exactly
 /// the historical path; supplied caches change wall-clock only (hits are
 /// exact-verified — see [`PersistentCache`]).
@@ -1056,8 +1056,8 @@ pub struct SupervisedRun {
 
 /// Cross-day solver cache knob for a [`SupervisedRun`] (DESIGN.md §15).
 ///
-/// When enabled, the runner carries two [`PersistentCache`]s across day
-/// boundaries — one for the market clearing's truth model, one for the
+/// When enabled, the runner keeps two [`PersistentCache`]s for its whole
+/// life — one for the market clearing's truth model, one for the
 /// detector's load prediction (they solve under different game
 /// configurations, so sharing one cache would thrash its invalidation).
 /// Purely a wall-clock knob: cached days are bit-identical to cold days,
@@ -1065,7 +1065,7 @@ pub struct SupervisedRun {
 /// [`LongTermRunConfig`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DayCacheConfig {
-    /// Whether cross-day caches are carried at all (default off).
+    /// Whether the run keeps solver caches at all (default off).
     pub enabled: bool,
     /// Bucketing quantum (kWh) for the caches' quantized lookup buckets.
     pub quantum: f64,
@@ -1341,6 +1341,9 @@ impl SupervisedRun {
                     .field("seconds", append_watch.secs()),
             );
         }
+        if self.cache.enabled {
+            rec.gauge(names::solver::CACHE_ENTRIES, self.cache_entries() as f64);
+        }
         self.next_day += 1;
         Ok(())
     }
@@ -1408,19 +1411,39 @@ impl SupervisedRun {
         self.recorder.as_ref()
     }
 
+    /// The run's main-thread caches (clearing, then prediction); empty
+    /// when [`DayCacheConfig`] caching is disabled.
+    fn caches(&self) -> impl Iterator<Item = &PersistentCache> {
+        [self.clearing_cache.as_ref(), self.prediction_cache.as_ref()]
+            .into_iter()
+            .flatten()
+    }
+
     /// Cumulative persistent-cache statistics across the run's clearing and
     /// prediction caches so far (all zero when [`DayCacheConfig`] caching is
     /// disabled). Telemetry only — never journaled.
     pub fn cache_stats(&self) -> CacheStats {
         let mut stats = CacheStats::default();
-        for cache in [self.clearing_cache.as_ref(), self.prediction_cache.as_ref()]
-            .into_iter()
-            .flatten()
-        {
+        for cache in self.caches() {
             stats.hits += cache.hits() as usize;
             stats.misses += cache.misses() as usize;
+            stats.ineligible += cache.ineligible() as usize;
         }
         stats
+    }
+
+    /// Entries held right now by the run's clearing and prediction caches
+    /// (zero when caching is disabled). Each cache keeps only the entries
+    /// of the community it last solved, so after any day this is at most
+    /// one day's worth of misses. Telemetry only — never journaled.
+    pub fn cache_entries(&self) -> usize {
+        self.caches().map(PersistentCache::len).sum()
+    }
+
+    /// Entries the run's caches evicted so far because their customers
+    /// left the community being solved. Telemetry only — never journaled.
+    pub fn cache_evictions(&self) -> u64 {
+        self.caches().map(PersistentCache::evictions).sum()
     }
 
     /// Storage faults this run's ledger absorbed so far (never part of the

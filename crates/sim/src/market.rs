@@ -100,9 +100,9 @@ impl Market {
         self.clear_day_seeded_recorded(community, iterations, seed, rec)
     }
 
-    /// [`Market::clear_day_recorded`] backed by a cross-day
-    /// [`PersistentCache`]: the fixed-point iterations re-solve the game
-    /// under near-identical prices day after day, so pure-DP best responses
+    /// [`Market::clear_day_recorded`] backed by a [`PersistentCache`]: on a
+    /// quantized price grid the fixed-point iterations soon re-pose an
+    /// earlier iteration's game input-for-input, so pure-DP best responses
     /// the cache has already answered skip the re-solve. Hits are
     /// exact-verified (see
     /// [`GameEngine::solve_persistent_recorded`](nms_solver::GameEngine::solve_persistent_recorded)),

@@ -1,13 +1,24 @@
 //! Cross-solve best-response memo cache (DESIGN.md §15).
 //!
-//! The per-solve `ResponseCache` (DESIGN.md §9) only pays off within one
-//! game solve: limit-cycle rounds late in the iteration re-solve problems
-//! the early rounds already answered. The communities the paper exhibits
-//! are *also* repetitive across days — the market re-clears near-identical
-//! prices against near-identical aggregates — so a [`PersistentCache`] can
-//! be carried across day boundaries inside the supervised runner and keep
-//! its entries as long as the solver configuration that produced them is
-//! unchanged.
+//! One [`PersistentCache`] serves every solve it is handed — several game
+//! solves in a row, and, when owned by the supervised runner, every day of
+//! a run. Hits are exact-verified, so a cached solve is bit-identical to a
+//! cold one.
+//!
+//! ## Where the hits come from
+//!
+//! Measured at paper scale (N = 500, battery-free, quantized prices), every
+//! hit lands 1–8 solves after its entry was inserted: all of them come from
+//! within one day's market clearing. The clearing iteration
+//! `price ← design(demand(price))` runs on a finite price grid, reaches a
+//! bitwise fixed point or a short cycle within a few iterations, and every
+//! later iteration re-poses an earlier solve input-for-input. Inside one
+//! solve, Jacobi limit cycles repeat rounds the same way. No hit ever
+//! crosses a day: the customer fingerprint in every key covers task energy
+//! and window, which the scenario resamples each day, so an entry can no
+//! longer be reached once the community that produced it is gone. The
+//! detector's prediction cache runs one game solve per day and recorded 0
+//! hits in 72,000 lookups on the same workload.
 //!
 //! ## Key scheme: quantized bucket, exact verification
 //!
@@ -43,12 +54,26 @@
 //! the response must not consume the per-customer RNG stream. The solver
 //! draws randomness solely in the cross-entropy battery step, and only
 //! when `response.use_battery && customer.battery().is_usable()` — so
-//! battery-active customers are never cached (they tally as misses,
-//! preserving the `hits + misses == customers × rounds` invariant), while
-//! the pure-DP majority is. Per-round seeds are still drawn for every
-//! customer regardless of hits, so the caller-visible RNG stream is
-//! unchanged by caching (the same RNG-neutrality contract the per-solve
-//! cache honors).
+//! battery-active customers are never cached (they tally as misses and as
+//! *ineligible*, preserving the `hits + misses == customers × rounds`
+//! invariant), while the pure-DP majority is. Per-round seeds are still
+//! drawn for every customer regardless of hits, so the caller-visible RNG
+//! stream is unchanged by caching.
+//!
+//! ## Entry lifetime
+//!
+//! Every entry records the fingerprint of the customer definition that
+//! produced it. At the start of each solve the engine declares its live
+//! cacheable customers through [`PersistentCache::retain_customers`], which
+//! evicts every entry whose customer is not among them; the pass is skipped
+//! when the live list hashes the same as the previous solve's, so repeated
+//! solves of one community (a day's clearing iterations) pay one hash.
+//! Evicted entries could never hit again — their key's first word names a
+//! customer that no longer exists — so eviction changes no hit and no
+//! result. It bounds the cache to the entries of one community: at most
+//! cacheable customers × rounds per solve × solves of that community —
+//! one day of clearing for the runner's caches — instead of every day of
+//! the run.
 //!
 //! ## Invalidation
 //!
@@ -58,7 +83,7 @@
 //! callers holding one cache across heterogeneous solves therefore
 //! self-heal instead of serving stale responses.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use nms_smarthome::CustomerSchedule;
 use nms_types::ValidateError;
@@ -70,6 +95,9 @@ use crate::game::Fnv1a;
 /// [module docs](self) for the scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PersistentKey {
+    /// Fingerprint of the customer definition the key was built for; it
+    /// decides the entry's lifetime (see [`PersistentCache::retain_customers`]).
+    pub(crate) customer_fp: u64,
     /// Map key: FNV-1a over quantized inputs.
     pub(crate) bucket: u64,
     /// Stored-in-entry verifier: FNV-1a over the raw input bits.
@@ -78,6 +106,7 @@ pub(crate) struct PersistentKey {
 
 #[derive(Debug, Clone)]
 struct CacheEntry {
+    customer_fp: u64,
     exact: u64,
     /// [`schedule_fingerprint`] of `response`, precomputed at insertion so
     /// a hit can hand the caller its next warm-start word without
@@ -109,18 +138,23 @@ pub(crate) fn schedule_fingerprint(schedule: &CustomerSchedule) -> u64 {
     fp.finish()
 }
 
-/// Best-response memo cache that survives across game solves — and, when
-/// owned by the supervised runner, across day boundaries. Hits are
-/// bit-identical to cold recomputation by construction (exact-hash
-/// verification); see the [module docs](self).
+/// Best-response memo cache that survives across game solves — when owned
+/// by the supervised runner, for the whole run — while holding only the
+/// entries of the community it last solved. Hits are bit-identical to
+/// cold recomputation by construction (exact-hash verification); see the
+/// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct PersistentCache {
     quantum: f64,
     config_hash: Option<u64>,
+    /// Hash of the live customer list the last eviction pass ran against.
+    live_hash: Option<u64>,
     entries: HashMap<u64, CacheEntry>,
     hits: u64,
     misses: u64,
+    ineligible: u64,
     invalidations: u64,
+    evictions: u64,
 }
 
 impl PersistentCache {
@@ -140,10 +174,13 @@ impl PersistentCache {
         Ok(Self {
             quantum,
             config_hash: None,
+            live_hash: None,
             entries: HashMap::new(),
             hits: 0,
             misses: 0,
+            ineligible: 0,
             invalidations: 0,
+            evictions: 0,
         })
     }
 
@@ -177,6 +214,21 @@ impl PersistentCache {
         self.misses
     }
 
+    /// Lifetime invocations that bypassed the cache because the customer's
+    /// response is not cacheable (battery-active); also counted in
+    /// [`PersistentCache::misses`].
+    #[inline]
+    pub fn ineligible(&self) -> u64 {
+        self.ineligible
+    }
+
+    /// Lifetime entries dropped by [`PersistentCache::retain_customers`]
+    /// because their customer was no longer live.
+    #[inline]
+    pub fn evictions(&self) -> u64 {
+        self.evictions
+    }
+
     /// Times [`PersistentCache::ensure_config`] dropped the entries because
     /// the solver context changed.
     #[inline]
@@ -200,6 +252,32 @@ impl PersistentCache {
         }
     }
 
+    /// Declares the cacheable customers (by fingerprint) of the solve about
+    /// to run and evicts every entry whose customer is not among them;
+    /// returns how many entries were dropped. Skipped when `live` hashes
+    /// the same as the previous declaration, so repeated solves of one
+    /// community pay only that hash. See the [module docs](self) for why
+    /// eviction cannot lose a hit.
+    pub(crate) fn retain_customers(&mut self, live: &[u64]) -> u64 {
+        let mut hash = Fnv1a::new();
+        hash.word(live.len() as u64);
+        for &customer_fp in live {
+            hash.word(customer_fp);
+        }
+        let hash = hash.finish();
+        if self.live_hash == Some(hash) {
+            return 0;
+        }
+        self.live_hash = Some(hash);
+        let live: HashSet<u64> = live.iter().copied().collect();
+        let before = self.entries.len();
+        self.entries
+            .retain(|_, entry| live.contains(&entry.customer_fp));
+        let dropped = (before - self.entries.len()) as u64;
+        self.evictions += dropped;
+        dropped
+    }
+
     /// Looks up a response; a hit requires the stored exact hash to match
     /// the probe's, so the returned schedule is bit-identical to what
     /// recomputation from these inputs would produce. The second element of
@@ -220,9 +298,10 @@ impl PersistentCache {
 
     /// Tallies a miss for an invocation that bypassed the cache entirely
     /// (battery-active customers), keeping `hits + misses` equal to the
-    /// total invocation count.
+    /// total invocation count; it also counts as [ineligible](Self::ineligible).
     pub(crate) fn tally_uncacheable(&mut self) {
         self.misses += 1;
+        self.ineligible += 1;
     }
 
     /// Stores a freshly computed response under its key pair, replacing any
@@ -238,6 +317,7 @@ impl PersistentCache {
         self.entries.insert(
             key.bucket,
             CacheEntry {
+                customer_fp: key.customer_fp,
                 exact: key.exact,
                 response_fp,
                 response: response.clone(),
@@ -270,6 +350,7 @@ impl PersistentCache {
         bucket.word(warm_fp);
         exact.word(warm_fp);
         PersistentKey {
+            customer_fp,
             bucket: bucket.finish(),
             exact: exact.finish(),
         }
@@ -382,6 +463,63 @@ mod tests {
         let mut cache = PersistentCache::new(1e-6).unwrap();
         cache.tally_uncacheable();
         assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.ineligible(), 1);
         assert_eq!(cache.hits(), 0);
+    }
+
+    /// Inserts one entry per `(customer_fp, others)` pair.
+    fn fill(cache: &mut PersistentCache, entries: &[(u64, f64)]) {
+        let response = schedule(0.0);
+        let fp = schedule_fingerprint(&response);
+        for &(customer_fp, others) in entries {
+            let key = cache.keys(customer_fp, 2, &[others], COLD_WARM_FP);
+            cache.insert(&key, &response, fp);
+        }
+    }
+
+    #[test]
+    fn retain_drops_dead_customers_and_keeps_live_ones() {
+        let mut cache = PersistentCache::new(1e-6).unwrap();
+        fill(
+            &mut cache,
+            &[(1, 0.0), (1, 1.0), (2, 0.0), (3, 0.0), (3, 1.0)],
+        );
+        assert_eq!(cache.len(), 5);
+
+        assert_eq!(cache.retain_customers(&[1, 3]), 1, "customer 2 is dead");
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.evictions(), 1);
+        let live_key = cache.keys(3, 2, &[1.0], COLD_WARM_FP);
+        assert!(
+            cache.lookup(&live_key).is_some(),
+            "live entries must survive"
+        );
+        let dead_key = cache.keys(2, 2, &[0.0], COLD_WARM_FP);
+        assert!(
+            cache.lookup(&dead_key).is_none(),
+            "dead entries must be gone"
+        );
+
+        assert_eq!(cache.retain_customers(&[4]), 4, "a new community drops all");
+        assert!(cache.is_empty());
+        assert_eq!(cache.evictions(), 5, "evictions accumulate");
+    }
+
+    #[test]
+    fn retain_is_a_no_op_for_an_unchanged_live_set() {
+        let mut cache = PersistentCache::new(1e-6).unwrap();
+        fill(&mut cache, &[(1, 0.0), (2, 0.0)]);
+        assert_eq!(cache.retain_customers(&[1, 2]), 0);
+        // An entry for a customer outside the declared set, inserted after
+        // the pass: a repeated declaration of the same set skips the pass
+        // (and so leaves it), proving the hash short-circuit.
+        fill(&mut cache, &[(9, 0.0)]);
+        assert_eq!(cache.retain_customers(&[1, 2]), 0);
+        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.evictions(), 0);
+        // A changed declaration runs the pass again.
+        assert_eq!(cache.retain_customers(&[1, 2, 5]), 1);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.evictions(), 1);
     }
 }

@@ -6,9 +6,7 @@
 //! (Gauss–Seidel), or for a fixed number of Jacobi rounds when running the
 //! parallel variant.
 
-use std::collections::HashMap;
-
-use nms_obs::{span, NoopRecorder, Recorder, TraceEvent};
+use nms_obs::{names, span, NoopRecorder, Recorder, TraceEvent};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -37,11 +35,11 @@ pub struct GameConfig {
     /// existed load as sequential.
     #[serde(default)]
     pub parallelism: Parallelism,
-    /// Quantum (kWh) for the best-response memo cache key: two rounds whose
-    /// inputs agree after rounding to this grid share one cached response
-    /// (DESIGN.md §9). `0.0` — the default, and what old serialized configs
-    /// load as — disables the cache entirely, keeping the legacy bit-exact
-    /// path.
+    /// Accepted and validated, but ignored. It once keyed an unverified
+    /// per-solve memo cache on quantized inputs; that cache is gone, and
+    /// exact-verified memoization is opt-in through
+    /// [`GameEngine::solve_persistent`] (DESIGN.md §15). Kept so serialized
+    /// configurations keep loading.
     #[serde(default)]
     pub cache_quantum: f64,
 }
@@ -96,15 +94,19 @@ impl Default for GameConfig {
 
 /// Hit/miss counters for the best-response memo cache.
 ///
-/// All-zero when the cache is disabled (`cache_quantum == 0.0`). When
-/// enabled, every best-response invocation is tallied exactly once, so
-/// `hits + misses` equals customers × rounds.
+/// All-zero for solves without a [`PersistentCache`]. With one, every
+/// best-response invocation is tallied exactly once, so `hits + misses`
+/// equals customers × rounds.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Invocations answered from the cache.
     pub hits: usize,
     /// Invocations that ran the full DP + CE best response.
     pub misses: usize,
+    /// Misses that never consulted the cache because the response is not
+    /// cacheable (battery-active customers); a subset of `misses`.
+    #[serde(default)]
+    pub ineligible: usize,
     /// Hits per round (index = zero-based round); divide by the customer
     /// count for a per-round hit rate.
     pub hits_by_round: Vec<usize>,
@@ -133,7 +135,8 @@ pub struct GameOutcome {
     pub converged: bool,
     /// Largest per-slot trading change after each round (kWh).
     pub history: Vec<f64>,
-    /// Best-response memo cache tallies (all-zero when disabled).
+    /// Best-response memo cache tallies (all-zero without a persistent
+    /// cache).
     pub cache: CacheStats,
 }
 
@@ -290,10 +293,11 @@ impl<'a> GameEngine<'a> {
 
     /// [`GameEngine::solve`] backed by a cross-solve [`PersistentCache`]
     /// (DESIGN.md §15): pure-DP customers whose inputs the cache has seen —
-    /// in an earlier round, an earlier solve, or an earlier *day* — skip
-    /// the re-solve. Hits are exact-verified, so the outcome is
-    /// bit-identical to [`GameEngine::solve`] under the same seed; the
-    /// supplied cache supersedes the per-solve `cache_quantum` memo.
+    /// in an earlier round of this solve or in an earlier solve of the same
+    /// community — skip the re-solve. Hits are exact-verified, so the
+    /// outcome is bit-identical to [`GameEngine::solve`] under the same
+    /// seed. Entries of customers absent from this community are evicted
+    /// first (see [`PersistentCache`]'s entry lifetime).
     ///
     /// # Errors
     ///
@@ -342,14 +346,6 @@ impl<'a> GameEngine<'a> {
         let mut history = Vec::new();
         let mut converged = false;
         let mut rounds = 0;
-        // A supplied persistent cache supersedes the per-solve memo: its
-        // key covers a superset of the per-solve key's inputs, so
-        // within-solve repeats hit it too.
-        let mut cache = ResponseCache::new(if persistent.is_some() {
-            0.0
-        } else {
-            self.config.cache_quantum
-        });
         let mut stats = CacheStats::default();
         // One scratch arena reused across every sequential best response;
         // parallel rounds hold one per worker instead (DESIGN.md §11).
@@ -363,7 +359,8 @@ impl<'a> GameEngine<'a> {
             None => Vec::new(),
             Some(p) => {
                 p.ensure_config(self.persistent_context_hash());
-                self.community
+                let meta: Vec<Option<(u64, u64)>> = self
+                    .community
                     .iter()
                     .enumerate()
                     .map(|(index, customer)| {
@@ -377,10 +374,18 @@ impl<'a> GameEngine<'a> {
                             Some((customer_fingerprint(customer), price.finish()))
                         }
                     })
-                    .collect()
+                    .collect();
+                // Entries of customers outside this community can never
+                // hit again: evict them before the first probe.
+                let live: Vec<u64> = meta.iter().flatten().map(|&(fp, _)| fp).collect();
+                let evicted = p.retain_customers(&live);
+                if evicted > 0 {
+                    rec.add(names::solver::CACHE_EVICTIONS, evicted);
+                }
+                meta
             }
         };
-        let tally_rounds = persistent.is_some() || cache.enabled();
+        let tally_rounds = persistent.is_some();
         // Memoized warm-start fingerprints for the persistent key. The
         // engine only ever warm-starts customer `i` from the response it
         // last committed for `i`, so the fingerprint rides along instead of
@@ -405,21 +410,17 @@ impl<'a> GameEngine<'a> {
                 // over contiguous f64 slices.
                 for (index, customer) in self.community.iter().enumerate() {
                     batch.fill_others(index);
-                    let probe = self.probe(
+                    let probe = probe(
                         &batch,
                         index,
-                        &mut cache,
                         persistent.as_deref_mut(),
                         &persist_meta,
                         &warm_fps,
-                        &schedules,
                         &mut stats,
                     );
                     let response = match probe {
                         Probe::Hit(hit, response_fp) => {
-                            if let Some(fp) = response_fp {
-                                warm_fps[index] = fp;
-                            }
+                            warm_fps[index] = response_fp;
                             hit
                         }
                         Probe::Miss(key) => {
@@ -436,9 +437,7 @@ impl<'a> GameEngine<'a> {
                                 rec,
                                 &mut ws,
                             )?;
-                            if let Some(fp) =
-                                store(key, &response, &mut cache, persistent.as_deref_mut())
-                            {
+                            if let Some(fp) = store(key, &response, persistent.as_deref_mut()) {
                                 warm_fps[index] = fp;
                             }
                             response
@@ -467,24 +466,20 @@ impl<'a> GameEngine<'a> {
                 // lanes stay untouched until the commit loop below, so the
                 // whole round reads one consistent snapshot.
                 let mut responses: Vec<Option<CustomerSchedule>> = vec![None; n];
-                let mut misses: Vec<(usize, PendingKey)> = Vec::new();
+                let mut misses: Vec<(usize, Option<PersistentKey>)> = Vec::new();
                 for index in 0..n {
                     batch.fill_others(index);
-                    let probe = self.probe(
+                    let probe = probe(
                         &batch,
                         index,
-                        &mut cache,
                         persistent.as_deref_mut(),
                         &persist_meta,
                         &warm_fps,
-                        &schedules,
                         &mut stats,
                     );
                     match probe {
                         Probe::Hit(hit, response_fp) => {
-                            if let Some(fp) = response_fp {
-                                warm_fps[index] = fp;
-                            }
+                            warm_fps[index] = response_fp;
                             responses[index] = Some(hit);
                         }
                         Probe::Miss(key) => misses.push((index, key)),
@@ -494,8 +489,7 @@ impl<'a> GameEngine<'a> {
                 let computed =
                     self.parallel_round(&batch, &schedules, &seeds, &miss_indices, rec)?;
                 for ((index, key), response) in misses.into_iter().zip(computed) {
-                    if let Some(fp) = store(key, &response, &mut cache, persistent.as_deref_mut())
-                    {
+                    if let Some(fp) = store(key, &response, persistent.as_deref_mut()) {
                         warm_fps[index] = fp;
                     }
                     responses[index] = Some(response);
@@ -513,14 +507,11 @@ impl<'a> GameEngine<'a> {
             history.push(round_delta);
             rec.observe("solver_round_delta", round_delta);
             if rec.enabled() {
-                let mut event = TraceEvent::new("game_round")
-                    .field("round", rounds as f64)
-                    .field("delta", round_delta);
-                if cache.enabled() {
-                    let round_hits = stats.hits_by_round.last().copied().unwrap_or(0);
-                    event = event.field("cache_hits", round_hits as f64);
-                }
-                rec.event(&event);
+                rec.event(
+                    &TraceEvent::new("game_round")
+                        .field("round", rounds as f64)
+                        .field("delta", round_delta),
+                );
             }
             if round_delta <= self.config.tolerance {
                 converged = true;
@@ -533,8 +524,11 @@ impl<'a> GameEngine<'a> {
         if converged {
             rec.add("solver_games_converged", 1);
         }
-        rec.add("solver_cache_hits", stats.hits as u64);
-        rec.add("solver_cache_misses", stats.misses as u64);
+        rec.add(names::solver::CACHE_HITS, stats.hits as u64);
+        rec.add(names::solver::CACHE_MISSES, stats.misses as u64);
+        if stats.ineligible > 0 {
+            rec.add(names::solver::CACHE_INELIGIBLE, stats.ineligible as u64);
+        }
         if rec.enabled() {
             rec.event(
                 &TraceEvent::new("game_solved")
@@ -601,60 +595,6 @@ impl<'a> GameEngine<'a> {
         )
     }
 
-    /// Consults whichever cache is active for customer `index` against the
-    /// others lane just filled in `batch`. Tallies per-solve [`CacheStats`]
-    /// for both cache kinds.
-    #[allow(clippy::too_many_arguments)]
-    fn probe(
-        &self,
-        batch: &BatchResponseWorkspace,
-        index: usize,
-        cache: &mut ResponseCache,
-        persistent: Option<&mut PersistentCache>,
-        persist_meta: &[Option<(u64, u64)>],
-        warm_fps: &[u64],
-        schedules: &[Option<CustomerSchedule>],
-        stats: &mut CacheStats,
-    ) -> Probe {
-        if let Some(persistent) = persistent {
-            return match persist_meta[index] {
-                None => {
-                    // Battery-active: the CE step consumes the per-customer
-                    // RNG stream, so the response is never cached and always
-                    // tallies as a miss.
-                    persistent.tally_uncacheable();
-                    stats.misses += 1;
-                    Probe::Miss(PendingKey::Uncached)
-                }
-                Some((customer_fp, price_fp)) => {
-                    let key =
-                        persistent.keys(customer_fp, price_fp, batch.others(), warm_fps[index]);
-                    match persistent.lookup(&key) {
-                        Some((hit, response_fp)) => {
-                            stats.hits += 1;
-                            if let Some(last) = stats.hits_by_round.last_mut() {
-                                *last += 1;
-                            }
-                            Probe::Hit(hit, Some(response_fp))
-                        }
-                        None => {
-                            stats.misses += 1;
-                            Probe::Miss(PendingKey::Persistent(key))
-                        }
-                    }
-                }
-            };
-        }
-        let key = cache.key(index, batch.others(), schedules[index].as_ref());
-        match cache.lookup(key, stats) {
-            Some(hit) => Probe::Hit(hit, None),
-            None => Probe::Miss(match key {
-                Some(key) => PendingKey::PerSolve(key),
-                None => PendingKey::Uncached,
-            }),
-        }
-    }
-
     /// Fingerprint of everything a persistently cached response depends on
     /// besides its per-invocation key: the response configuration and the
     /// tariff. A [`PersistentCache`] drops its entries when this changes.
@@ -665,134 +605,67 @@ impl<'a> GameEngine<'a> {
     }
 }
 
-/// Outcome of a cache probe for one best-response invocation. Persistent
-/// hits carry the response's stored [`schedule_fingerprint`] so the caller
-/// can use it as the next probe's warm-start word.
+/// Outcome of a cache probe for one best-response invocation. Hits carry
+/// the response's stored [`schedule_fingerprint`] so the caller can use it
+/// as the next probe's warm-start word; misses carry the key to store the
+/// computed response under (`None` when nothing may be stored).
 enum Probe {
-    Hit(CustomerSchedule, Option<u64>),
-    Miss(PendingKey),
+    Hit(CustomerSchedule, u64),
+    Miss(Option<PersistentKey>),
 }
 
-/// Where to store a freshly computed response after a miss.
-enum PendingKey {
-    /// No cache active for this invocation.
-    Uncached,
-    /// Per-solve memo cache key.
-    PerSolve(u64),
-    /// Persistent cross-solve key pair.
-    Persistent(PersistentKey),
+/// Consults the persistent cache (if any) for customer `index` against the
+/// others lane just filled in `batch`, tallying the solve's [`CacheStats`].
+fn probe(
+    batch: &BatchResponseWorkspace,
+    index: usize,
+    persistent: Option<&mut PersistentCache>,
+    persist_meta: &[Option<(u64, u64)>],
+    warm_fps: &[u64],
+    stats: &mut CacheStats,
+) -> Probe {
+    let Some(persistent) = persistent else {
+        return Probe::Miss(None);
+    };
+    let Some((customer_fp, price_fp)) = persist_meta[index] else {
+        // Battery-active: the CE step consumes the per-customer RNG
+        // stream, so the response is never cached and always tallies as a
+        // miss.
+        persistent.tally_uncacheable();
+        stats.misses += 1;
+        stats.ineligible += 1;
+        return Probe::Miss(None);
+    };
+    let key = persistent.keys(customer_fp, price_fp, batch.others(), warm_fps[index]);
+    match persistent.lookup(&key) {
+        Some((hit, response_fp)) => {
+            stats.hits += 1;
+            if let Some(last) = stats.hits_by_round.last_mut() {
+                *last += 1;
+            }
+            Probe::Hit(hit, response_fp)
+        }
+        None => {
+            stats.misses += 1;
+            Probe::Miss(Some(key))
+        }
+    }
 }
 
-/// Stores a freshly computed response under its pending key. Persistent
-/// inserts fingerprint the response once and return that word — the
-/// caller's memoized warm-start fingerprint for the next probe.
+/// Stores a freshly computed response under its pending key. Inserts
+/// fingerprint the response once and return that word — the caller's
+/// memoized warm-start fingerprint for the next probe.
 fn store(
-    key: PendingKey,
+    key: Option<PersistentKey>,
     response: &CustomerSchedule,
-    cache: &mut ResponseCache,
     persistent: Option<&mut PersistentCache>,
 ) -> Option<u64> {
-    match key {
-        PendingKey::Uncached => None,
-        PendingKey::PerSolve(key) => {
-            cache.insert(Some(key), response);
-            None
-        }
-        PendingKey::Persistent(key) => {
-            let response_fp = schedule_fingerprint(response);
-            if let Some(persistent) = persistent {
-                persistent.insert(&key, response, response_fp);
-            }
-            Some(response_fp)
-        }
+    let key = key?;
+    let response_fp = schedule_fingerprint(response);
+    if let Some(persistent) = persistent {
+        persistent.insert(&key, response, response_fp);
     }
-}
-
-/// Per-solve memo cache for best responses, keyed on a quantized
-/// fingerprint of everything the response depends on: the customer index,
-/// that customer's believed price signal, the aggregate trading of the
-/// others, and the warm-start schedule. In late rounds these inputs settle
-/// onto the quantization grid, so re-solves collapse into lookups.
-///
-/// Cache hits skip the DP + CE re-solve but never the per-round seed draw,
-/// so the caller-visible RNG stream is unchanged by caching.
-struct ResponseCache {
-    quantum: f64,
-    map: HashMap<u64, CustomerSchedule>,
-}
-
-impl ResponseCache {
-    fn new(quantum: f64) -> Self {
-        Self {
-            quantum,
-            map: HashMap::new(),
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.quantum > 0.0
-    }
-
-    /// The cache key for one invocation, `None` when disabled.
-    fn key(
-        &self,
-        index: usize,
-        others_trading: &[f64],
-        warm: Option<&CustomerSchedule>,
-    ) -> Option<u64> {
-        if !self.enabled() {
-            return None;
-        }
-        let mut hash = Fnv1a::new();
-        hash.word(index as u64);
-        for &v in others_trading {
-            hash.word(self.quantize(v));
-        }
-        match warm {
-            None => hash.word(0),
-            Some(schedule) => {
-                hash.word(1);
-                for appliance in schedule.appliance_schedules() {
-                    for &v in appliance.energy().iter() {
-                        hash.word(self.quantize(v));
-                    }
-                }
-                for level in schedule.battery() {
-                    hash.word(self.quantize(level.value()));
-                }
-            }
-        }
-        Some(hash.finish())
-    }
-
-    fn lookup(&self, key: Option<u64>, stats: &mut CacheStats) -> Option<CustomerSchedule> {
-        let key = key?;
-        match self.map.get(&key) {
-            Some(hit) => {
-                stats.hits += 1;
-                if let Some(last) = stats.hits_by_round.last_mut() {
-                    *last += 1;
-                }
-                Some(hit.clone())
-            }
-            None => {
-                stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn insert(&mut self, key: Option<u64>, response: &CustomerSchedule) {
-        if let Some(key) = key {
-            self.map.insert(key, response.clone());
-        }
-    }
-
-    /// Rounds a value onto the quantization grid; values within half a
-    /// quantum of each other map to the same cell.
-    fn quantize(&self, value: f64) -> u64 {
-        ((value / self.quantum).round() as i64) as u64
-    }
+    Some(response_fp)
 }
 
 /// Exhaustive content fingerprint of one customer for the persistent-cache
@@ -1190,8 +1063,8 @@ mod tests {
         // Battery-less customers are pure DP, so every response is
         // cacheable. A persistent cache must (a) leave the solve
         // bit-identical to the uncached engine and (b) answer a repeat of
-        // the identical solve from its entries — the cross-day reuse the
-        // supervised runner relies on.
+        // the identical solve from its entries — the replay of a day's
+        // clearing iterations the supervised runner relies on.
         let community = small_community(4, false);
         let prices = tou_prices();
         let mut config = GameConfig::fast();
@@ -1324,19 +1197,17 @@ mod tests {
         // would, so loads are bit-identical with the cache on or off.
         let community = small_community(4, false);
         let prices = tou_prices();
-        let run = |cache_quantum: f64| {
-            let mut config = GameConfig::fast();
-            config.max_rounds = 12;
-            config.tolerance = 1e-6;
-            config.parallelism = Parallelism::new(2);
-            config.cache_quantum = cache_quantum;
-            let engine =
-                GameEngine::new(&community, &prices, NetMeteringTariff::default(), config).unwrap();
-            let mut rng = ChaCha8Rng::seed_from_u64(23);
-            engine.solve(&mut rng).unwrap()
-        };
-        let plain = run(0.0);
-        let cached = run(1e-6);
+        let mut config = GameConfig::fast();
+        config.max_rounds = 12;
+        config.tolerance = 1e-6;
+        config.parallelism = Parallelism::new(2);
+        let engine =
+            GameEngine::new(&community, &prices, NetMeteringTariff::default(), config).unwrap();
+        let plain = engine.solve(&mut ChaCha8Rng::seed_from_u64(23)).unwrap();
+        let mut cache = PersistentCache::new(1e-6).unwrap();
+        let cached = engine
+            .solve_persistent(&mut ChaCha8Rng::seed_from_u64(23), &mut cache)
+            .unwrap();
 
         // The cache skips re-solves but must not change what anyone
         // consumes: per-customer load profiles are bit-identical.
@@ -1361,5 +1232,73 @@ mod tests {
             cached.cache.hits + cached.cache.misses,
             community.len() * cached.rounds
         );
+    }
+
+    #[test]
+    fn persistent_cache_keeps_only_the_live_community() {
+        // Community B has A's customer ids but resampled tasks — what the
+        // scenario does to every customer each day. Solving B must evict
+        // every entry A left behind, and B's own entries must still answer
+        // a repeat of B's solve from round one.
+        let community_a = small_community(4, false);
+        let customers_b: Vec<Customer> = (0..4)
+            .map(|i| {
+                Customer::builder(CustomerId::new(i), day())
+                    .appliance(Appliance::new(
+                        ApplianceId::new(0),
+                        ApplianceKind::WaterHeater,
+                        PowerLevels::stepped(Kw::new(2.0), 2).unwrap(),
+                        TaskSpec::new(Kwh::new(2.0 + 0.5 * i as f64), 1, 22).unwrap(),
+                    ))
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let community_b = Community::new(day(), customers_b).unwrap();
+        let prices = tou_prices();
+        let solve = |community: &Community, cache: &mut PersistentCache| {
+            let engine = GameEngine::new(
+                community,
+                &prices,
+                NetMeteringTariff::default(),
+                GameConfig::fast(),
+            )
+            .unwrap();
+            engine
+                .solve_persistent(&mut ChaCha8Rng::seed_from_u64(26), cache)
+                .unwrap()
+        };
+
+        let mut cache = PersistentCache::new(1e-6).unwrap();
+        let a = solve(&community_a, &mut cache);
+        let a_entries = cache.len();
+        assert!(a_entries > 0);
+        assert!(a_entries <= a.cache.misses, "only misses store entries");
+        assert_eq!(cache.evictions(), 0);
+
+        let b = solve(&community_b, &mut cache);
+        assert_eq!(
+            cache.evictions() as usize,
+            a_entries,
+            "every entry of community A must be evicted"
+        );
+        assert!(
+            cache.len() > 0 && cache.len() <= b.cache.misses,
+            "only B's entries remain"
+        );
+
+        let again = solve(&community_b, &mut cache);
+        assert_eq!(
+            cache.evictions() as usize,
+            a_entries,
+            "same live set: no pass"
+        );
+        assert_eq!(
+            again.cache.hits_by_round.first().copied().unwrap_or(0),
+            community_b.len(),
+            "a repeat of B's solve must hit all of round one: {:?}",
+            again.cache
+        );
+        assert_eq!(again.cache.misses, 0);
     }
 }

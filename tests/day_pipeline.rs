@@ -198,6 +198,52 @@ fn quarantined_meter_days_do_not_poison_the_cache() {
     );
 }
 
+#[test]
+fn cached_run_holds_at_most_one_day_of_entries() {
+    // The battery-free, price-grid shape of the paper-scale workload: every
+    // customer is cacheable and the clearing iterations replay each other.
+    // The scenario resamples every customer's tasks daily, so each day's
+    // first solve evicts what the previous day left behind, and after any
+    // day the caches hold no more than that day's clearing could insert.
+    let mut scenario = scenario(8, 31);
+    scenario.battery_ownership = 0.0;
+    scenario.utility.price_quantum = 0.005;
+    let mut config = config(None, 4, timeline(scenario.customers));
+    config.clearing_iterations = 4;
+    let seed = 9;
+
+    let cold = run_sequential(
+        &scenario,
+        &config,
+        seed,
+        DayCacheConfig::default(),
+        "b-cold",
+    );
+    let mut run = build(&scenario, &config, seed, DayCacheConfig::on(), "b-cached");
+    // `clearing_iterations` fixed-point solves plus the final solve at the
+    // final price; no detector, so the prediction cache stays empty.
+    let solves_per_day = config.clearing_iterations + 1;
+    let bound = scenario.customers * scenario.game.max_rounds * solves_per_day;
+    while !run.is_finished() {
+        run.step_day().unwrap();
+        let entries = run.cache_entries();
+        assert!(
+            entries > 0 && entries <= bound,
+            "day {}: {entries} entries, bound {bound}",
+            run.completed_days()
+        );
+    }
+    assert!(
+        run.cache_evictions() > 0,
+        "later days must evict the entries of earlier days' customers"
+    );
+    assert!(
+        run.cache_stats().hits > 0,
+        "the replayed clearing iterations must still hit"
+    );
+    assert_identical(&cold, &run.finish().unwrap());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
