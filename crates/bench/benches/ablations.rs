@@ -7,7 +7,8 @@
 //! * the `W` (net-metering reward) sweep's effect on grid PAR.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use rand::SeedableRng;
+use nms_obs::NoopRecorder;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use nms_bench::bench_scenario;
@@ -18,8 +19,8 @@ use nms_pricing::{CostModel, NetMeteringTariff, PriceSignal};
 use nms_sim::Market;
 use nms_smarthome::Battery;
 use nms_solver::{
-    coordinate_descent_battery, nash_gap, optimize_battery, BatteryProblem, CeConfig,
-    CrossEntropyOptimizer, GameConfig, GameEngine, PriceAssignment, ResponseConfig,
+    coordinate_descent_battery, nash_gap, optimize_battery, BatteryProblem, CeConfig, CeWorkspace,
+    CrossEntropyOptimizer, GameConfig, GameEngine, ResponseConfig,
 };
 use nms_types::{Horizon, Kwh, TimeSeries};
 
@@ -46,7 +47,9 @@ fn ablation_battery_solver(c: &mut Criterion) {
     // Report solution quality once.
     let ce = CrossEntropyOptimizer::new(CeConfig::default());
     let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let (_, ce_solution) = optimize_battery(&problem, &ce, None, &mut rng);
+    let (_, ce_solution) =
+        optimize_battery(&problem, &ce, None, &mut rng, None, &mut CeWorkspace::default())
+            .expect("battery solves");
     let cd = coordinate_descent_battery(&problem, 3);
     let cd_interior: Vec<f64> = cd[1..].iter().map(|b| b.value()).collect();
     println!(
@@ -62,7 +65,10 @@ fn ablation_battery_solver(c: &mut Criterion) {
     group.bench_function("cross_entropy", |b| {
         b.iter_batched(
             || ChaCha8Rng::seed_from_u64(2),
-            |mut rng| optimize_battery(&problem, &ce, None, &mut rng),
+            |mut rng| {
+                optimize_battery(&problem, &ce, None, &mut rng, None, &mut CeWorkspace::default())
+                    .expect("battery solves")
+            },
             BatchSize::SmallInput,
         )
     });
@@ -79,7 +85,7 @@ fn ablation_svr_kernel(c: &mut Criterion) {
     let generator = scenario.generator();
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     let history = market
-        .bootstrap_history(&generator, scenario.training_days, &mut rng)
+        .bootstrap_history(&generator, scenario.training_days, &mut rng, &NoopRecorder)
         .expect("history");
     let config = FeatureConfig::net_metering_aware(24);
     let dataset = history.training_set(&config);
@@ -153,7 +159,9 @@ fn ablation_tariff_sweep(c: &mut Criterion) {
         let weather = scenario.weather_factors(1);
         let community = generator.community_for_day(0, weather[0]);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let outcome = market.clear_day(&community, 2, &mut rng).expect("clears");
+        let outcome = market
+            .clear_day(&community, 2, rng.gen(), &NoopRecorder, None)
+            .expect("clears");
         println!("W = {w}: PAR {:.4}", outcome.response.par);
     }
 
@@ -166,7 +174,11 @@ fn ablation_tariff_sweep(c: &mut Criterion) {
         let community = generator.community_for_day(0, weather[0]);
         b.iter_batched(
             || ChaCha8Rng::seed_from_u64(5),
-            |mut rng| market.clear_day(&community, 2, &mut rng).expect("clears"),
+            |mut rng| {
+                market
+                    .clear_day(&community, 2, rng.gen(), &NoopRecorder, None)
+                    .expect("clears")
+            },
             BatchSize::SmallInput,
         )
     });
@@ -196,7 +208,7 @@ fn ablation_game_rounds(c: &mut Criterion) {
         let gap = nash_gap(
             &community,
             &outcome.schedule,
-            PriceAssignment::Uniform(&prices),
+            &prices,
             tariff,
             &ResponseConfig::default(),
             &mut gap_rng,
@@ -221,7 +233,7 @@ fn ablation_game_rounds(c: &mut Criterion) {
                 nash_gap(
                     &community,
                     &outcome.schedule,
-                    PriceAssignment::Uniform(&prices),
+                    &prices,
                     tariff,
                     &ResponseConfig::fast(),
                     &mut rng,

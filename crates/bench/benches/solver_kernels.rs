@@ -48,8 +48,8 @@ use nms_smarthome::{
     Appliance, ApplianceKind, Community, CustomerSchedule, PowerLevels, TaskSpec,
 };
 use nms_solver::{
-    best_response_in, best_response_reference, best_response_slice_in, BatchResponseWorkspace,
-    DpScheduler, DpWorkspace, ResponseConfig, ResponseWorkspace,
+    best_response_in, best_response_reference, BatchResponseWorkspace, DpScheduler, DpWorkspace,
+    ResponseConfig, ResponseWorkspace,
 };
 use nms_types::{ApplianceId, Kw, Kwh, TimeSeries};
 
@@ -308,7 +308,7 @@ fn bench(c: &mut Criterion) {
             .enumerate()
             .map(|(index, customer)| {
                 batch.fill_others(index);
-                let response = best_response_slice_in(
+                let response = best_response_in(
                     customer,
                     batch.others(),
                     CostModel::new(&paper_prices, tariff),
@@ -443,7 +443,7 @@ fn bench(c: &mut Criterion) {
                 game_after,
                 game_iters,
                 "one paper-scale Gauss–Seidel round, SoA BatchResponseWorkspace \
-                 lanes + best_response_slice_in",
+                 lanes + best_response_in",
             )
         },
     ])

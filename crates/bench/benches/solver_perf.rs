@@ -11,7 +11,9 @@ use nms_forecast::{FeatureConfig, Kernel, PriceHistory, Svr, SvrParams};
 use nms_pomdp::{PbviConfig, PbviPolicy, Pomdp, QmdpPolicy};
 use nms_pricing::{NetMeteringTariff, PriceSignal};
 use nms_smarthome::{Appliance, ApplianceKind, PowerLevels, TaskSpec};
-use nms_solver::{CeConfig, CrossEntropyOptimizer, DpScheduler, GameConfig, GameEngine};
+use nms_solver::{
+    CeConfig, CeWorkspace, CrossEntropyOptimizer, DpScheduler, GameConfig, GameEngine,
+};
 use nms_types::{ApplianceId, Horizon, Kw, Kwh};
 
 fn bench_cross_entropy(c: &mut Criterion) {
@@ -22,12 +24,16 @@ fn bench_cross_entropy(c: &mut Criterion) {
         b.iter_batched(
             || ChaCha8Rng::seed_from_u64(7),
             |mut rng| {
-                optimizer.minimize(
-                    |x| x.iter().map(|v| (v - 1.3).powi(2)).sum(),
-                    &bounds,
-                    &init,
-                    &mut rng,
-                )
+                optimizer
+                    .minimize(
+                        |x| x.iter().map(|v| (v - 1.3).powi(2)).sum(),
+                        &bounds,
+                        &init,
+                        &mut rng,
+                        None,
+                        &mut CeWorkspace::default(),
+                    )
+                    .expect("finite objective")
             },
             BatchSize::SmallInput,
         )

@@ -30,19 +30,6 @@ impl DetectorAction {
             Self::Fix => 1,
         }
     }
-
-    /// Decodes a POMDP action index.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an index other than 0 or 1.
-    #[deprecated(note = "use `DetectorAction::try_from(index)` for a typed error instead")]
-    pub fn from_index(index: usize) -> Self {
-        match Self::try_from(index) {
-            Ok(action) => action,
-            Err(err) => panic!("{err}"),
-        }
-    }
 }
 
 /// The typed error for an out-of-range POMDP action index.
@@ -553,13 +540,6 @@ mod tests {
         let err = DetectorAction::try_from(2).unwrap_err();
         assert_eq!(err, InvalidActionIndex(2));
         assert!(err.to_string().contains("two actions"), "{err}");
-    }
-
-    #[test]
-    #[should_panic(expected = "two actions")]
-    fn deprecated_from_index_shim_still_panics() {
-        #[allow(deprecated)]
-        let _ = DetectorAction::from_index(2);
     }
 
     #[test]

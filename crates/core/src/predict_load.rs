@@ -1,13 +1,16 @@
 //! Net-metering-aware energy-load prediction (§3): simulate the community's
 //! scheduling response to a guideline price by solving the game.
 
-use nms_obs::{NoopRecorder, Recorder};
+use nms_obs::Recorder;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use nms_pricing::{CostModel, NetMeteringTariff, PriceSignal};
 use nms_smarthome::{Community, CommunitySchedule, Customer, LoadProfile};
-use nms_solver::{CacheStats, GameConfig, GameEngine, PersistentCache, PriceAssignment, SolverError};
+use nms_solver::{
+    best_response_in, CacheStats, GameConfig, GameEngine, PersistentCache, ResponseWorkspace,
+    SolverError,
+};
 use nms_types::{MeterId, TimeSeries};
 
 /// The community's predicted response to a price signal.
@@ -71,7 +74,14 @@ impl LoadPredictor {
         }
     }
 
-    /// Predicts the community response to `prices`.
+    /// Predicts the community response to `prices`, with solver telemetry
+    /// routed into `rec` (see [`GameEngine::solve_with`]).
+    ///
+    /// With a cross-solve [`PersistentCache`], pure-DP best responses the
+    /// cache has seen — in this prediction or an earlier one of the same
+    /// community — skip the re-solve. Hits are exact-verified, so the
+    /// result is bit-identical to the uncached prediction under the same
+    /// seed.
     ///
     /// # Errors
     ///
@@ -82,98 +92,33 @@ impl LoadPredictor {
         community: &Community,
         prices: &PriceSignal,
         rng: &mut impl Rng,
-    ) -> Result<PredictedResponse, SolverError> {
-        self.predict_with_assignment(
-            community,
-            PriceAssignment::Uniform(prices),
-            rng,
-            &NoopRecorder,
-            None,
-        )
-    }
-
-    /// [`LoadPredictor::predict`] with solver telemetry routed into `rec`
-    /// (see [`GameEngine::solve_recorded`]). Bit-identical results to
-    /// [`LoadPredictor::predict`] under the same seed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LoadPredictor::predict`].
-    pub fn predict_recorded(
-        &self,
-        community: &Community,
-        prices: &PriceSignal,
-        rng: &mut impl Rng,
         rec: &dyn Recorder,
+        cache: Option<&mut PersistentCache>,
     ) -> Result<PredictedResponse, SolverError> {
-        self.predict_with_assignment(community, PriceAssignment::Uniform(prices), rng, rec, None)
-    }
-
-    /// [`LoadPredictor::predict_recorded`] backed by a cross-solve
-    /// [`PersistentCache`] (see [`GameEngine::solve_persistent_recorded`]):
-    /// pure-DP best responses the cache has seen — in this prediction or an
-    /// earlier one of the same community — skip the re-solve. Hits are exact-verified, so the
-    /// result is bit-identical to [`LoadPredictor::predict_recorded`] under
-    /// the same seed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LoadPredictor::predict`].
-    pub fn predict_cached_recorded(
-        &self,
-        community: &Community,
-        prices: &PriceSignal,
-        rng: &mut impl Rng,
-        cache: &mut PersistentCache,
-        rec: &dyn Recorder,
-    ) -> Result<PredictedResponse, SolverError> {
-        self.predict_with_assignment(
-            community,
-            PriceAssignment::Uniform(prices),
-            rng,
-            rec,
-            Some(cache),
-        )
-    }
-
-    /// Predicts the community response when each customer's meter reports
-    /// its own price signal (`signals[i]` for customer `i`) — the
-    /// mixed-compromise setting where hacked meters see a manipulated
-    /// signal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError`] when the signal count is wrong or the game
-    /// engine fails.
-    pub fn predict_per_customer(
-        &self,
-        community: &Community,
-        signals: &[PriceSignal],
-        rng: &mut impl Rng,
-    ) -> Result<PredictedResponse, SolverError> {
-        self.predict_with_assignment(
-            community,
-            PriceAssignment::PerCustomer(signals),
-            rng,
-            &NoopRecorder,
-            None,
-        )
-    }
-
-    /// [`LoadPredictor::predict_per_customer`] with solver telemetry routed
-    /// into `rec`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LoadPredictor::predict_per_customer`].
-    pub fn predict_per_customer_recorded(
-        &self,
-        community: &Community,
-        signals: &[PriceSignal],
-        rng: &mut impl Rng,
-        rec: &dyn Recorder,
-    ) -> Result<PredictedResponse, SolverError> {
-        self.predict_with_assignment(community, PriceAssignment::PerCustomer(signals), rng, rec, None)
+        let stripped_storage;
+        let community_model: &Community = if self.net_metering {
+            community
+        } else {
+            stripped_storage = strip_der(community);
+            &stripped_storage
+        };
+        let mut game = self.game;
+        if !self.net_metering {
+            game.response.use_battery = false;
+        }
+        let engine = GameEngine::new(community_model, prices, self.tariff, game)
+            .map_err(SolverError::Config)?;
+        let outcome = engine.solve_with(rng, rec, cache)?;
+        let grid_demand = outcome.schedule.grid_demand_clamped();
+        let par = grid_demand.par().unwrap_or(1.0);
+        Ok(PredictedResponse {
+            grid_demand,
+            par,
+            converged: outcome.converged,
+            rounds: outcome.rounds,
+            cache: outcome.cache,
+            schedule: outcome.schedule,
+        })
     }
 
     /// The community's realized response when `hacked_meters` deviate
@@ -186,35 +131,14 @@ impl LoadPredictor {
     /// for the same community (its schedules are reused as warm starts and
     /// as the honest homes' plans).
     ///
+    /// Solver telemetry from the per-meter best responses (DP/CE work) is
+    /// routed into `rec`.
+    ///
     /// # Errors
     ///
     /// Returns [`SolverError`] if a hacked home's subproblem fails or the
     /// committed response does not match the community.
     pub fn respond_unilaterally(
-        &self,
-        community: &Community,
-        committed: &PredictedResponse,
-        manipulated_price: &PriceSignal,
-        hacked_meters: &[MeterId],
-        rng: &mut impl Rng,
-    ) -> Result<PredictedResponse, SolverError> {
-        self.respond_unilaterally_recorded(
-            community,
-            committed,
-            manipulated_price,
-            hacked_meters,
-            rng,
-            &NoopRecorder,
-        )
-    }
-
-    /// [`LoadPredictor::respond_unilaterally`] with solver telemetry routed
-    /// into `rec` (the per-meter best responses tally DP/CE work).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LoadPredictor::respond_unilaterally`].
-    pub fn respond_unilaterally_recorded(
         &self,
         community: &Community,
         committed: &PredictedResponse,
@@ -249,6 +173,7 @@ impl LoadPredictor {
         });
 
         let mut schedules = committed_schedules.to_vec();
+        let mut ws = ResponseWorkspace::default();
         for meter in hacked_meters {
             let index = meter.customer().index();
             let customer = community_model.customer(meter.customer()).ok_or_else(|| {
@@ -260,7 +185,7 @@ impl LoadPredictor {
             let others = total
                 .sub(committed_own.trading())
                 .expect("aligned horizons");
-            schedules[index] = nms_solver::best_response_recorded(
+            schedules[index] = best_response_in(
                 customer,
                 &others,
                 cost_model,
@@ -268,6 +193,7 @@ impl LoadPredictor {
                 Some(committed_own),
                 rng,
                 rec,
+                &mut ws,
             )?;
         }
 
@@ -281,43 +207,6 @@ impl LoadPredictor {
             rounds: 0,
             cache: CacheStats::default(),
             schedule,
-        })
-    }
-
-    fn predict_with_assignment(
-        &self,
-        community: &Community,
-        prices: PriceAssignment<'_>,
-        rng: &mut impl Rng,
-        rec: &dyn Recorder,
-        cache: Option<&mut PersistentCache>,
-    ) -> Result<PredictedResponse, SolverError> {
-        let stripped_storage;
-        let community_model: &Community = if self.net_metering {
-            community
-        } else {
-            stripped_storage = strip_der(community);
-            &stripped_storage
-        };
-        let mut game = self.game;
-        if !self.net_metering {
-            game.response.use_battery = false;
-        }
-        let engine = GameEngine::with_price_assignment(community_model, prices, self.tariff, game)
-            .map_err(SolverError::Config)?;
-        let outcome = match cache {
-            Some(cache) => engine.solve_persistent_recorded(rng, rec, cache)?,
-            None => engine.solve_recorded(rng, rec)?,
-        };
-        let grid_demand = outcome.schedule.grid_demand_clamped();
-        let par = grid_demand.par().unwrap_or(1.0);
-        Ok(PredictedResponse {
-            grid_demand,
-            par,
-            converged: outcome.converged,
-            rounds: outcome.rounds,
-            cache: outcome.cache,
-            schedule: outcome.schedule,
         })
     }
 }
@@ -342,6 +231,7 @@ fn strip_der(community: &Community) -> Community {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nms_obs::NoopRecorder;
     use nms_smarthome::{
         clear_sky_profile, Appliance, ApplianceKind, Battery, PowerLevels, PvPanel, TaskSpec,
     };
@@ -391,9 +281,9 @@ mod tests {
         let naive =
             LoadPredictor::ignore_net_metering(NetMeteringTariff::default(), GameConfig::fast());
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let aware_response = aware.predict(&community, &prices, &mut rng).unwrap();
+        let aware_response = aware.predict(&community, &prices, &mut rng, &NoopRecorder, None).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let naive_response = naive.predict(&community, &prices, &mut rng).unwrap();
+        let naive_response = naive.predict(&community, &prices, &mut rng, &NoopRecorder, None).unwrap();
 
         // The aware model sees far less midday net demand (PV supplies it).
         let midday = |r: &PredictedResponse| (10..15).map(|h| r.grid_demand[h]).sum::<f64>();
@@ -417,7 +307,7 @@ mod tests {
         let predictor =
             LoadPredictor::net_metering_aware(NetMeteringTariff::default(), GameConfig::fast());
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let response = predictor.predict(&community, &prices, &mut rng).unwrap();
+        let response = predictor.predict(&community, &prices, &mut rng, &NoopRecorder, None).unwrap();
         assert!(response.par.is_finite());
         assert!(response.par >= 1.0 - 1e-9);
     }
@@ -435,9 +325,9 @@ mod tests {
         let predictor =
             LoadPredictor::ignore_net_metering(NetMeteringTariff::default(), GameConfig::fast());
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let under_attack = predictor.predict(&community, &attacked, &mut rng).unwrap();
+        let under_attack = predictor.predict(&community, &attacked, &mut rng, &NoopRecorder, None).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let baseline = predictor.predict(&community, &clean, &mut rng).unwrap();
+        let baseline = predictor.predict(&community, &clean, &mut rng, &NoopRecorder, None).unwrap();
 
         assert!(
             under_attack.par > baseline.par + 0.2,

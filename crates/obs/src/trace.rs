@@ -35,14 +35,7 @@ use crate::Recorder;
 pub const TRACE_VERSION: u32 = 1;
 
 /// FNV-1a 64-bit — the same line-seal hash the run journal uses.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub use nms_types::fnv1a64;
 
 /// A named numeric payload entry of a [`TraceEvent`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

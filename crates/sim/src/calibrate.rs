@@ -20,7 +20,7 @@
 //! model is biased (ignoring net metering) calibrates against its *own*
 //! bias, exactly as the prior art would have.
 
-use nms_obs::{Recorder, Stopwatch, TraceEvent};
+use nms_obs::{NoopRecorder, Recorder, Stopwatch, TraceEvent};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -116,7 +116,7 @@ pub(crate) fn calibrate_detector(
     let day_seeds: Vec<(u64, u64)> = (0..backtest_days).map(|_| (rng.gen(), rng.gen())).collect();
     let mut health = RunHealth::new();
 
-    let backtests = nms_par::par_map_recorded(
+    let backtests = nms_par::par_map(
         parallelism.threads,
         &day_seeds,
         rec,
@@ -126,8 +126,8 @@ pub(crate) fn calibrate_detector(
             // Workers deliberately use the unrecorded clear: the game layer
             // emits trace *events*, which the nms-obs contract keeps out of
             // parallel regions (worker telemetry flows through
-            // `par_map_recorded`'s commutative metrics instead).
-            let outcome = market.clear_day_seeded(&community, 2, clear_seed)?;
+            // `par_map`'s commutative metrics instead).
+            let outcome = market.clear_day(&community, 2, clear_seed, &NoopRecorder, None)?;
             let manipulated = timeline.attack().apply(&outcome.price);
 
             // The detector's day-ahead view of this (past) day.
@@ -151,16 +151,24 @@ pub(crate) fn calibrate_detector(
                 generation_forecast,
             )?;
             let mut predicted_rng = ChaCha8Rng::seed_from_u64(seed);
-            let predicted = framework
-                .load
-                .predict(&community, &backtest_price, &mut predicted_rng)?;
+            let predicted = framework.load.predict(
+                &community,
+                &backtest_price,
+                &mut predicted_rng,
+                &NoopRecorder,
+                None,
+            )?;
 
             // The detector's world-model view of the clean day, used to
             // isolate the attack delta.
             let mut honest_rng = ChaCha8Rng::seed_from_u64(seed);
-            let honest = framework
-                .load
-                .predict(&community, &outcome.price, &mut honest_rng)?;
+            let honest = framework.load.predict(
+                &community,
+                &outcome.price,
+                &mut honest_rng,
+                &NoopRecorder,
+                None,
+            )?;
 
             let mut day_stats = Vec::with_capacity(buckets);
             for bucket in 0..buckets {
@@ -178,6 +186,7 @@ pub(crate) fn calibrate_detector(
                         &manipulated,
                         &meters,
                         &mut mixed_rng,
+                        &NoopRecorder,
                     )?;
                     // Superimpose the world-model attack delta on the
                     // observed clean demand.
@@ -305,7 +314,7 @@ mod tests {
         let generator = scenario.generator();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let history = market
-            .bootstrap_history(&generator, scenario.training_days, &mut rng)
+            .bootstrap_history(&generator, scenario.training_days, &mut rng, &NoopRecorder)
             .unwrap();
         let framework = FrameworkConfig::new(DetectorMode::NetMeteringAware, 24);
         let timeline =
@@ -324,7 +333,7 @@ mod tests {
             &history,
             &Parallelism::SEQUENTIAL,
             &mut rng,
-            &nms_obs::NoopRecorder,
+            &NoopRecorder,
         )
         .unwrap();
         assert!(calibration.price_predictor.is_trained());
@@ -356,7 +365,7 @@ mod tests {
         let run = |threads: usize| {
             let mut rng = ChaCha8Rng::seed_from_u64(2);
             let history = market
-                .bootstrap_history(&generator, scenario.training_days, &mut rng)
+                .bootstrap_history(&generator, scenario.training_days, &mut rng, &NoopRecorder)
                 .unwrap();
             calibrate_detector(
                 &scenario,
@@ -371,7 +380,7 @@ mod tests {
                 &history,
                 &Parallelism::new(threads),
                 &mut rng,
-                &nms_obs::NoopRecorder,
+                &NoopRecorder,
             )
             .unwrap()
         };

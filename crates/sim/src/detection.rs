@@ -284,7 +284,7 @@ fn train(
     let history =
         setup
             .market
-            .bootstrap_history_recorded(&setup.generator, scenario.training_days, rng, rec)?;
+            .bootstrap_history(&setup.generator, scenario.training_days, rng, rec)?;
 
     let detector = match &config.detector {
         None => None,
@@ -452,7 +452,7 @@ fn realize_day(
     }
     let meters: Vec<MeterId> = compromised.iter().collect();
     let mut child = ChaCha8Rng::seed_from_u64(realization_seed);
-    Ok(setup.market.truth_model().respond_unilaterally_recorded(
+    Ok(setup.market.truth_model().respond_unilaterally(
         community,
         &clean.response,
         manipulated,
@@ -509,21 +509,13 @@ pub(crate) fn prepare_day_inputs(
     let clearing_watch = Stopwatch::start();
     let clean = {
         let _span = span(rec, "clearing");
-        match clearing_cache {
-            Some(cache) => setup.market.clear_day_cached_recorded(
-                &community,
-                config.clearing_iterations,
-                rng,
-                cache,
-                rec,
-            )?,
-            None => setup.market.clear_day_recorded(
-                &community,
-                config.clearing_iterations,
-                rng,
-                rec,
-            )?,
-        }
+        setup.market.clear_day(
+            &community,
+            config.clearing_iterations,
+            rng.gen(),
+            rec,
+            clearing_cache,
+        )?
     };
     let clearing_secs = clearing_watch.secs();
     let manipulated = config.timeline.attack().apply(&clean.price);
@@ -552,7 +544,10 @@ pub(crate) fn prepare_day_inputs(
 /// Simulates one detection day, mutating `state` and returning the day's
 /// journalable transcript. Both run drivers call exactly this, so a
 /// supervised run and the legacy run behave identically given identical
-/// RNG draws.
+/// RNG draws. `clearing_cache` is the run's optional solver cache for the
+/// market clearing; it changes wall-clock only (hits are exact-verified —
+/// see [`PersistentCache`]).
+#[allow(clippy::too_many_arguments)]
 fn simulate_day(
     scenario: &PaperScenario,
     config: &LongTermRunConfig,
@@ -560,27 +555,7 @@ fn simulate_day(
     state: &mut RunState,
     day_offset: usize,
     rng: &mut impl Rng,
-    rec: &dyn Recorder,
-) -> Result<DayRecord, SimError> {
-    simulate_day_cached(
-        scenario, config, setup, state, day_offset, rng, None, None, rec,
-    )
-}
-
-/// [`simulate_day`] with optional run-long solver caches for the market
-/// clearing and the detector's load prediction. `None` for both is exactly
-/// the historical path; supplied caches change wall-clock only (hits are
-/// exact-verified — see [`PersistentCache`]).
-#[allow(clippy::too_many_arguments)]
-fn simulate_day_cached(
-    scenario: &PaperScenario,
-    config: &LongTermRunConfig,
-    setup: &RunSetup,
-    state: &mut RunState,
-    day_offset: usize,
-    rng: &mut impl Rng,
     clearing_cache: Option<&mut PersistentCache>,
-    prediction_cache: Option<&mut PersistentCache>,
     rec: &dyn Recorder,
 ) -> Result<DayRecord, SimError> {
     let _day_span = span(rec, "detect_day");
@@ -594,7 +569,7 @@ fn simulate_day_cached(
         clearing_cache,
         rec,
     )?;
-    simulate_day_with_inputs(scenario, config, setup, state, inputs, prediction_cache, rec)
+    simulate_day_with_inputs(scenario, config, setup, state, inputs, rec)
 }
 
 /// The stateful back half of one detection day: prediction, slot loop,
@@ -608,7 +583,6 @@ pub(crate) fn simulate_day_with_inputs(
     setup: &RunSetup,
     state: &mut RunState,
     inputs: DayInputs,
-    prediction_cache: Option<&mut PersistentCache>,
     rec: &dyn Recorder,
 ) -> Result<DayRecord, SimError> {
     let DayInputs {
@@ -652,21 +626,13 @@ pub(crate) fn simulate_day_with_inputs(
                 generation_forecast,
             )?;
             let mut predicted_rng = ChaCha8Rng::seed_from_u64(realization_seed);
-            let predicted = match prediction_cache {
-                Some(cache) => det.framework.load.predict_cached_recorded(
-                    &community,
-                    &predicted_price,
-                    &mut predicted_rng,
-                    cache,
-                    rec,
-                )?,
-                None => det.framework.load.predict_recorded(
-                    &community,
-                    &predicted_price,
-                    &mut predicted_rng,
-                    rec,
-                )?,
-            };
+            let predicted = det.framework.load.predict(
+                &community,
+                &predicted_price,
+                &mut predicted_rng,
+                rec,
+                None,
+            )?;
             Some(predicted)
         }
     };
@@ -990,7 +956,7 @@ pub fn run_long_term_detection_recorded(
     let setup = prepare(scenario, config)?;
     let mut state = train(scenario, config, &setup, rng, rec)?;
     for day_offset in 0..config.detection_days {
-        simulate_day(scenario, config, &setup, &mut state, day_offset, rng, rec)?;
+        simulate_day(scenario, config, &setup, &mut state, day_offset, rng, None, rec)?;
     }
     finalize(state)
 }
@@ -1011,7 +977,7 @@ pub(crate) fn day_stream_seed(seed: u64, day_offset: usize) -> u64 {
 /// enough to catch a journal being resumed with a different scenario or
 /// config, without requiring every nested type to serialize.
 fn fingerprint(debug: impl std::fmt::Debug) -> u64 {
-    crate::journal::fnv1a64(format!("{debug:?}").as_bytes())
+    nms_types::fnv1a64(format!("{debug:?}").as_bytes())
 }
 
 /// A crash-safe long-horizon detection run: training replays from a seeded
@@ -1050,24 +1016,22 @@ pub struct SupervisedRun {
     cache: DayCacheConfig,
     /// Cross-day memo cache for the market clearing's truth-model solves.
     clearing_cache: Option<PersistentCache>,
-    /// Cross-day memo cache for the detector's load-prediction solves.
-    prediction_cache: Option<PersistentCache>,
 }
 
 /// Cross-day solver cache knob for a [`SupervisedRun`] (DESIGN.md §15).
 ///
-/// When enabled, the runner keeps two [`PersistentCache`]s for its whole
-/// life — one for the market clearing's truth model, one for the
-/// detector's load prediction (they solve under different game
-/// configurations, so sharing one cache would thrash its invalidation).
+/// When enabled, the runner keeps one [`PersistentCache`] for its whole
+/// life, under the market clearing's truth-model solves: their fixed-point
+/// iterations replay each other on a price grid. The detector's single
+/// load prediction per day has nothing to replay, so it runs uncached.
 /// Purely a wall-clock knob: cached days are bit-identical to cold days,
 /// which is why this lives in the options and not in the journaled
 /// [`LongTermRunConfig`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DayCacheConfig {
-    /// Whether the run keeps solver caches at all (default off).
+    /// Whether the run keeps a solver cache at all (default off).
     pub enabled: bool,
-    /// Bucketing quantum (kWh) for the caches' quantized lookup buckets.
+    /// Bucketing quantum (kWh) for the cache's quantized lookup buckets.
     pub quantum: f64,
 }
 
@@ -1090,7 +1054,7 @@ impl DayCacheConfig {
         }
     }
 
-    /// Builds one cache under this configuration (`None` when disabled).
+    /// Builds the cache under this configuration (`None` when disabled).
     pub(crate) fn build(&self) -> Result<Option<PersistentCache>, SimError> {
         if !self.enabled {
             return Ok(None);
@@ -1254,7 +1218,6 @@ impl SupervisedRun {
         };
         let journal = journal.with_policy(policy);
         let clearing_cache = cache.build()?;
-        let prediction_cache = cache.build()?;
 
         Ok(Self {
             scenario: scenario.clone(),
@@ -1268,7 +1231,6 @@ impl SupervisedRun {
             storage,
             cache,
             clearing_cache,
-            prediction_cache,
         })
     }
 
@@ -1301,7 +1263,7 @@ impl SupervisedRun {
         }
         let mut rng = ChaCha8Rng::seed_from_u64(day_stream_seed(self.seed, self.next_day));
         let rec = self.recorder.as_ref();
-        let record = simulate_day_cached(
+        let record = simulate_day(
             &self.scenario,
             &self.config,
             &self.setup,
@@ -1309,7 +1271,6 @@ impl SupervisedRun {
             self.next_day,
             &mut rng,
             self.clearing_cache.as_mut(),
-            self.prediction_cache.as_mut(),
             rec,
         )?;
         self.commit_day(record)
@@ -1363,7 +1324,6 @@ impl SupervisedRun {
                 &self.setup,
                 &mut self.state,
                 inputs,
-                self.prediction_cache.as_mut(),
                 rec,
             )?
         };
@@ -1411,39 +1371,35 @@ impl SupervisedRun {
         self.recorder.as_ref()
     }
 
-    /// The run's main-thread caches (clearing, then prediction); empty
-    /// when [`DayCacheConfig`] caching is disabled.
-    fn caches(&self) -> impl Iterator<Item = &PersistentCache> {
-        [self.clearing_cache.as_ref(), self.prediction_cache.as_ref()]
-            .into_iter()
-            .flatten()
-    }
-
-    /// Cumulative persistent-cache statistics across the run's clearing and
-    /// prediction caches so far (all zero when [`DayCacheConfig`] caching is
-    /// disabled). Telemetry only — never journaled.
+    /// Cumulative persistent-cache statistics of the run's clearing cache
+    /// so far (all zero when [`DayCacheConfig`] caching is disabled).
+    /// Telemetry only — never journaled.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
-        for cache in self.caches() {
-            stats.hits += cache.hits() as usize;
-            stats.misses += cache.misses() as usize;
-            stats.ineligible += cache.ineligible() as usize;
-        }
-        stats
+        self.clearing_cache
+            .as_ref()
+            .map_or_else(CacheStats::default, |cache| CacheStats {
+                hits: cache.hits() as usize,
+                misses: cache.misses() as usize,
+                ineligible: cache.ineligible() as usize,
+                ..CacheStats::default()
+            })
     }
 
-    /// Entries held right now by the run's clearing and prediction caches
-    /// (zero when caching is disabled). Each cache keeps only the entries
-    /// of the community it last solved, so after any day this is at most
-    /// one day's worth of misses. Telemetry only — never journaled.
+    /// Entries held right now by the run's clearing cache (zero when
+    /// caching is disabled). The cache keeps only the entries of the
+    /// community it last solved, so after any day this is at most one
+    /// day's worth of misses. Telemetry only — never journaled.
     pub fn cache_entries(&self) -> usize {
-        self.caches().map(PersistentCache::len).sum()
+        self.clearing_cache.as_ref().map_or(0, PersistentCache::len)
     }
 
-    /// Entries the run's caches evicted so far because their customers
-    /// left the community being solved. Telemetry only — never journaled.
+    /// Entries the run's clearing cache evicted so far because their
+    /// customers left the community being solved. Telemetry only — never
+    /// journaled.
     pub fn cache_evictions(&self) -> u64 {
-        self.caches().map(PersistentCache::evictions).sum()
+        self.clearing_cache
+            .as_ref()
+            .map_or(0, PersistentCache::evictions)
     }
 
     /// Storage faults this run's ledger absorbed so far (never part of the

@@ -6,7 +6,8 @@
 //! (who wins, direction and rough magnitude of the gaps) reproduces the
 //! paper — see EXPERIMENTS.md for the side-by-side record.
 
-use rand::SeedableRng;
+use nms_obs::NoopRecorder;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use nms_attack::{AttackTimeline, PriceAttack};
@@ -77,12 +78,17 @@ fn run_prediction(
     let generator = scenario.generator();
     let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xf1903);
 
-    let history = market.bootstrap_history(&generator, scenario.training_days, &mut rng)?;
+    let history = market.bootstrap_history(
+        &generator,
+        scenario.training_days,
+        &mut rng,
+        &NoopRecorder,
+    )?;
 
     let eval_day = scenario.training_days;
     let weather = scenario.weather_factors(eval_day + 1);
     let community = generator.community_for_day(eval_day, weather[eval_day]);
-    let clean = market.clear_day(&community, 2, &mut rng)?;
+    let clean = market.clear_day(&community, 2, rng.gen(), &NoopRecorder, None)?;
 
     let framework = FrameworkConfig::new(mode, 24);
     let mut price_predictor = framework.price_predictor();
@@ -96,7 +102,7 @@ fn run_prediction(
 
     let predicted = framework
         .load
-        .predict(&community, &predicted_price, &mut rng)?;
+        .predict(&community, &predicted_price, &mut rng, &NoopRecorder, None)?;
 
     let price_rmse = predicted_price
         .rmse(&clean.price)
@@ -176,7 +182,7 @@ pub fn run_fig5(scenario: &PaperScenario) -> Result<AttackExperiment, SimError> 
     let eval_day = scenario.training_days;
     let weather = scenario.weather_factors(eval_day + 1);
     let community = generator.community_for_day(eval_day, weather[eval_day]);
-    let clean = market.clear_day(&community, 2, &mut rng)?;
+    let clean = market.clear_day(&community, 2, rng.gen(), &NoopRecorder, None)?;
     let manipulated = paper_attack().apply(&clean.price);
 
     // Every meter receives the manipulated signal (the paper's Fig 5
@@ -184,7 +190,7 @@ pub fn run_fig5(scenario: &PaperScenario) -> Result<AttackExperiment, SimError> 
     let mut attacked_rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xa77ac4);
     let attacked = market
         .truth_model()
-        .predict(&community, &manipulated, &mut attacked_rng)?;
+        .predict(&community, &manipulated, &mut attacked_rng, &NoopRecorder, None)?;
 
     Ok(AttackExperiment {
         manipulated_price: manipulated.as_series().iter().copied().collect(),

@@ -48,7 +48,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use nms_core::{MeterQuarantine, QuarantineEvent};
-use nms_types::{DayHealth, RunHealth};
+use nms_types::{fnv1a64, DayHealth, RunHealth};
 use nms_vfs::{tmp_sibling, StdVfs, StoragePolicy, StorageReport, Vfs, VfsFile};
 
 /// Journal format version; bump on incompatible record changes.
@@ -114,17 +114,6 @@ impl From<io::Error> for JournalError {
     }
 }
 
-/// FNV-1a 64-bit hash — small, dependency-free, and stable across
-/// platforms, which is all a torn-write detector needs (this is an
-/// integrity check, not an authenticity check).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// One line on disk: the record JSON as an opaque string plus its hash.
 /// Keeping the body as a string makes the hashed bytes exact and lets the

@@ -3,7 +3,7 @@
 //! metering changes the grid energy demand, which is considered by the
 //! utility when designing the guideline price").
 
-use nms_obs::{NoopRecorder, Recorder};
+use nms_obs::Recorder;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -66,7 +66,19 @@ impl Market {
 
     /// Clears one day: fixed-point iterate price ← design(demand(price))
     /// starting from a flat base-price signal, for `iterations` rounds
-    /// (two rounds reach a stable shape in practice).
+    /// (two rounds reach a stable shape in practice). Every solve of the
+    /// day draws from a child RNG seeded with the day's `seed`; callers
+    /// draw it (`rng.gen()`) from their own stream, and callers that clear
+    /// days in parallel pre-draw the seeds in sequential order, which keeps
+    /// a parallel run on the same RNG stream.
+    ///
+    /// Solver telemetry goes to `rec` (see
+    /// [`GameEngine::solve_with`](nms_solver::GameEngine::solve_with)). With
+    /// a [`PersistentCache`], the fixed-point iterations on a quantized
+    /// price grid soon re-pose an earlier iteration's game input-for-input,
+    /// so pure-DP best responses the cache has already answered skip the
+    /// re-solve; hits are exact-verified, so the outcome is bit-identical to
+    /// the uncached clearing.
     ///
     /// # Errors
     ///
@@ -75,92 +87,9 @@ impl Market {
         &self,
         community: &Community,
         iterations: usize,
-        rng: &mut impl Rng,
-    ) -> Result<DayOutcome, SimError> {
-        self.clear_day_recorded(community, iterations, rng, &NoopRecorder)
-    }
-
-    /// [`Market::clear_day`] with solver telemetry routed into `rec` (see
-    /// [`GameEngine::solve_recorded`](nms_solver::GameEngine::solve_recorded)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when scheduling fails.
-    pub fn clear_day_recorded(
-        &self,
-        community: &Community,
-        iterations: usize,
-        rng: &mut impl Rng,
-        rec: &dyn Recorder,
-    ) -> Result<DayOutcome, SimError> {
-        // One draw per day: callers that clear days in parallel pre-draw
-        // these seeds in sequential order and use `clear_day_seeded`
-        // directly, which keeps the parallel run on the same RNG stream.
-        let seed: u64 = rng.gen();
-        self.clear_day_seeded_recorded(community, iterations, seed, rec)
-    }
-
-    /// [`Market::clear_day_recorded`] backed by a [`PersistentCache`]: on a
-    /// quantized price grid the fixed-point iterations soon re-pose an
-    /// earlier iteration's game input-for-input, so pure-DP best responses
-    /// the cache has already answered skip the re-solve. Hits are
-    /// exact-verified (see
-    /// [`GameEngine::solve_persistent_recorded`](nms_solver::GameEngine::solve_persistent_recorded)),
-    /// so the outcome is bit-identical to [`Market::clear_day_recorded`]
-    /// under the same seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when scheduling fails.
-    pub fn clear_day_cached_recorded(
-        &self,
-        community: &Community,
-        iterations: usize,
-        rng: &mut impl Rng,
-        cache: &mut PersistentCache,
-        rec: &dyn Recorder,
-    ) -> Result<DayOutcome, SimError> {
-        let seed: u64 = rng.gen();
-        self.clear_day_seeded_with(community, iterations, seed, Some(cache), rec)
-    }
-
-    /// [`Market::clear_day`] with the day's solver seed supplied explicitly
-    /// instead of drawn from a shared RNG.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when scheduling fails.
-    pub fn clear_day_seeded(
-        &self,
-        community: &Community,
-        iterations: usize,
-        seed: u64,
-    ) -> Result<DayOutcome, SimError> {
-        self.clear_day_seeded_recorded(community, iterations, seed, &NoopRecorder)
-    }
-
-    /// [`Market::clear_day_seeded`] with solver telemetry routed into `rec`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when scheduling fails.
-    pub fn clear_day_seeded_recorded(
-        &self,
-        community: &Community,
-        iterations: usize,
         seed: u64,
         rec: &dyn Recorder,
-    ) -> Result<DayOutcome, SimError> {
-        self.clear_day_seeded_with(community, iterations, seed, None, rec)
-    }
-
-    fn clear_day_seeded_with(
-        &self,
-        community: &Community,
-        iterations: usize,
-        seed: u64,
         mut cache: Option<&mut PersistentCache>,
-        rec: &dyn Recorder,
     ) -> Result<DayOutcome, SimError> {
         let horizon = community.horizon();
         let mut price = PriceSignal::flat(horizon, self.utility.config().base_price)?;
@@ -169,13 +98,9 @@ impl Market {
         let mut response = None;
         for _ in 0..iterations.max(1) {
             let mut child = ChaCha8Rng::seed_from_u64(seed);
-            let r = match cache.as_deref_mut() {
-                Some(cache) => {
-                    self.truth
-                        .predict_cached_recorded(community, &price, &mut child, cache, rec)?
-                }
-                None => self.truth.predict_recorded(community, &price, &mut child, rec)?,
-            };
+            let r = self
+                .truth
+                .predict(community, &price, &mut child, rec, cache.as_deref_mut())?;
             price = self.utility.design_price(&r.grid_demand);
             response = Some(r);
         }
@@ -183,40 +108,20 @@ impl Market {
         let mut child = ChaCha8Rng::seed_from_u64(seed);
         let response = match iterations {
             0 => response.expect("at least one iteration ran"),
-            _ => match cache {
-                Some(cache) => {
-                    self.truth
-                        .predict_cached_recorded(community, &price, &mut child, cache, rec)?
-                }
-                None => self.truth.predict_recorded(community, &price, &mut child, rec)?,
-            },
+            _ => self.truth.predict(community, &price, &mut child, rec, cache)?,
         };
         Ok(DayOutcome { price, response })
     }
 
     /// Bootstraps `days` of (price, generation, demand) history by clearing
     /// consecutive days under the scenario's weather — the training data
-    /// for the SVR price predictors.
+    /// for the SVR price predictors. Each day draws its clearing seed from
+    /// `rng`; solver telemetry goes to `rec`.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] when any day fails to clear.
     pub fn bootstrap_history(
-        &self,
-        generator: &CommunityGenerator,
-        days: usize,
-        rng: &mut impl Rng,
-    ) -> Result<PriceHistory, SimError> {
-        self.bootstrap_history_recorded(generator, days, rng, &NoopRecorder)
-    }
-
-    /// [`Market::bootstrap_history`] with solver telemetry routed into
-    /// `rec`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when any day fails to clear.
-    pub fn bootstrap_history_recorded(
         &self,
         generator: &CommunityGenerator,
         days: usize,
@@ -229,7 +134,7 @@ impl Market {
         let mut demand = Vec::new();
         for (day, &clearness) in weather.iter().enumerate() {
             let community = generator.community_for_day(day, clearness);
-            let outcome = self.clear_day_recorded(&community, 2, rng, rec)?;
+            let outcome = self.clear_day(&community, 2, rng.gen(), rec, None)?;
             let theta = community.total_generation();
             for h in 0..community.horizon().slots() {
                 prices.push(outcome.price.at(h).value());
@@ -244,6 +149,7 @@ impl Market {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nms_obs::NoopRecorder;
 
     fn scenario() -> PaperScenario {
         PaperScenario::small(16, 21)
@@ -256,7 +162,7 @@ mod tests {
         let generator = s.generator();
         let community = generator.community_for_day(0, 0.9);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let outcome = market.clear_day(&community, 2, &mut rng).unwrap();
+        let outcome = market.clear_day(&community, 2, rng.gen(), &NoopRecorder, None).unwrap();
         // Prices exceed the base price wherever demand is positive.
         let base = s.utility.base_price;
         assert!(outcome.price.as_series().iter().any(|&p| p > base));
@@ -277,9 +183,9 @@ mod tests {
         let sunny = generator.community_for_day(0, 1.0);
         let cloudy = generator.community_for_day(0, 0.2);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let sunny_out = market.clear_day(&sunny, 2, &mut rng).unwrap();
+        let sunny_out = market.clear_day(&sunny, 2, rng.gen(), &NoopRecorder, None).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let cloudy_out = market.clear_day(&cloudy, 2, &mut rng).unwrap();
+        let cloudy_out = market.clear_day(&cloudy, 2, rng.gen(), &NoopRecorder, None).unwrap();
         let midday = |o: &DayOutcome| (11..14).map(|h| o.price.at(h).value()).sum::<f64>();
         assert!(midday(&sunny_out) < midday(&cloudy_out));
     }
@@ -290,7 +196,7 @@ mod tests {
         let market = Market::new(&s).unwrap();
         let generator = s.generator();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let history = market.bootstrap_history(&generator, 4, &mut rng).unwrap();
+        let history = market.bootstrap_history(&generator, 4, &mut rng, &NoopRecorder).unwrap();
         assert_eq!(history.len(), 4 * 24);
         assert!(history.prices().iter().all(|&p| p >= 0.0));
     }

@@ -6,13 +6,13 @@
 //! attack surface.
 
 use nms_obs::{NoopRecorder, Recorder};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use nms_attack::PriceAttack;
 use nms_core::{DetectorMode, FrameworkConfig, QuarantineConfig, SanitizeConfig};
-use nms_par::{par_map_recorded, Parallelism};
+use nms_par::{par_map, Parallelism};
 use nms_pricing::NetMeteringTariff;
 use nms_types::{RetryPolicy, SolveBudget};
 
@@ -69,7 +69,7 @@ pub fn sweep_tariff(
 }
 
 /// [`sweep_tariff`] with worker telemetry routed into `rec` (see
-/// [`par_map_recorded`]). The sweep's results are unaffected.
+/// [`par_map`]). The sweep's results are unaffected.
 ///
 /// # Errors
 ///
@@ -84,7 +84,7 @@ pub fn sweep_tariff_recorded(
     // independent and the parallel sweep is bit-identical to sequential.
     // Workers clear unrecorded: the game layer emits trace events, which
     // the nms-obs contract keeps out of parallel regions.
-    par_map_recorded(parallelism.threads, w_values, rec, |_, &w| {
+    par_map(parallelism.threads, w_values, rec, |_, &w| {
         let mut swept = scenario.clone();
         swept.tariff = NetMeteringTariff::new(w)?;
         clear_point(&swept, w)
@@ -116,7 +116,7 @@ pub fn sweep_pv_ownership_recorded(
     parallelism: &Parallelism,
     rec: &dyn Recorder,
 ) -> Result<Vec<SweepPoint>, SimError> {
-    par_map_recorded(
+    par_map(
         parallelism.threads,
         ownership_values,
         rec,
@@ -135,7 +135,7 @@ fn clear_point(scenario: &PaperScenario, parameter: f64) -> Result<SweepPoint, S
     let weather = scenario.weather_factors(1);
     let community = generator.community_for_day(0, weather[0]);
     let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0x5eeb);
-    let outcome = market.clear_day(&community, 2, &mut rng)?;
+    let outcome = market.clear_day(&community, 2, rng.gen(), &NoopRecorder, None)?;
     let energy_sold = outcome
         .response
         .schedule
@@ -207,15 +207,15 @@ pub fn sweep_attack_window_recorded(
     let weather = scenario.weather_factors(1);
     let community = generator.community_for_day(0, weather[0]);
     let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xa77ac);
-    let clean = market.clear_day_recorded(&community, 2, &mut rng, rec)?;
+    let clean = market.clear_day(&community, 2, rng.gen(), rec, None)?;
 
-    par_map_recorded(parallelism.threads, start_hours, rec, |_, &from_hour| {
+    par_map(parallelism.threads, start_hours, rec, |_, &from_hour| {
         let attack = PriceAttack::zero_window(from_hour, from_hour + 1.0)?;
         let manipulated = attack.apply(&clean.price);
         let mut attacked_rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xa77ac);
         let attacked = market
             .truth_model()
-            .predict(&community, &manipulated, &mut attacked_rng)?;
+            .predict(&community, &manipulated, &mut attacked_rng, &NoopRecorder, None)?;
         Ok(AttackWindowPoint {
             from_hour,
             attacked_par: attacked.par,
@@ -276,7 +276,7 @@ pub fn sweep_fault_tolerance_recorded(
     parallelism: &Parallelism,
     rec: &dyn Recorder,
 ) -> Result<Vec<FaultTolerancePoint>, SimError> {
-    par_map_recorded(parallelism.threads, fault_rates, rec, |_, &rate| {
+    par_map(parallelism.threads, fault_rates, rec, |_, &rate| {
         let plan = (rate > 0.0).then(|| FaultPlan::degraded(scenario.seed ^ 0xfa_017, rate));
         let run = |mode: DetectorMode| -> Result<LongTermRunResult, SimError> {
             let config = LongTermRunConfig {

@@ -14,7 +14,6 @@
 //! tradings  lane 0 [ y_0^0 ...... y_0^H )   customer 0, contiguous
 //!           lane 1 [ y_1^0 ...... y_1^H )   customer 1, contiguous
 //!           ...
-//! prices    lane n [ p_n^0 ...... p_n^H )   customer n's believed price
 //! total            [ Σ_n y_n^h          )   one lane
 //! others           [ total − lane i     )   scratch, rewritten per customer
 //! ```
@@ -37,13 +36,10 @@
 //!
 //! [`best_response_reference`]: crate::best_response_reference
 
-use nms_pricing::PriceSignal;
-
 /// Per-solve structure-of-arrays arena for the game engine's batched
-/// rounds: every customer's trading and believed-price series as contiguous
-/// `f64` lanes, plus the community total and a per-customer others scratch
-/// lane. See the [module docs](self) for layout and the bit-identity
-/// contract.
+/// rounds: every customer's trading series as a contiguous `f64` lane,
+/// plus the community total and a per-customer others scratch lane. See
+/// the [module docs](self) for layout and the bit-identity contract.
 #[derive(Debug, Clone, Default)]
 pub struct BatchResponseWorkspace {
     customers: usize,
@@ -51,8 +47,6 @@ pub struct BatchResponseWorkspace {
     /// `customers × slots`, lane-per-customer: `tradings[i*slots..][..slots]`
     /// is customer `i`'s committed trading series.
     tradings: Vec<f64>,
-    /// `customers × slots`: the price signal each customer's meter reports.
-    prices: Vec<f64>,
     /// `slots`: the running community total `Σ_n y_n^h`.
     total: Vec<f64>,
     /// `slots`: the aggregate of the others for the customer under solve.
@@ -74,8 +68,6 @@ impl BatchResponseWorkspace {
         self.slots = slots;
         self.tradings.clear();
         self.tradings.resize(customers * slots, 0.0);
-        self.prices.clear();
-        self.prices.resize(customers * slots, 0.0);
         self.total.clear();
         self.total.resize(slots, 0.0);
         self.others.clear();
@@ -104,25 +96,6 @@ impl BatchResponseWorkspace {
     #[inline]
     pub fn total(&self) -> &[f64] {
         &self.total
-    }
-
-    /// Copies customer `index`'s believed price signal into its price lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the signal's slot count differs from the workspace's.
-    pub fn set_price_lane(&mut self, index: usize, signal: &PriceSignal) {
-        assert_eq!(signal.len(), self.slots, "price/slots");
-        let lane = &mut self.prices[index * self.slots..(index + 1) * self.slots];
-        for (slot, value) in lane.iter_mut().enumerate() {
-            *value = signal.at(slot).value();
-        }
-    }
-
-    /// Customer `index`'s believed price lane.
-    #[inline]
-    pub fn price_lane(&self, index: usize) -> &[f64] {
-        &self.prices[index * self.slots..(index + 1) * self.slots]
     }
 
     /// Fills the others scratch lane with `total − lane(index)` (exactly

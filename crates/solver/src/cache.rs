@@ -16,9 +16,10 @@
 //! solve, Jacobi limit cycles repeat rounds the same way. No hit ever
 //! crosses a day: the customer fingerprint in every key covers task energy
 //! and window, which the scenario resamples each day, so an entry can no
-//! longer be reached once the community that produced it is gone. The
-//! detector's prediction cache runs one game solve per day and recorded 0
-//! hits in 72,000 lookups on the same workload.
+//! longer be reached once the community that produced it is gone. A cache
+//! under the detector's prediction (one game solve per day) recorded 0
+//! hits in 72,000 lookups on the same workload, so the supervised runner
+//! keeps only the clearing's cache.
 //!
 //! ## Key scheme: quantized bucket, exact verification
 //!
@@ -72,7 +73,7 @@
 //! customer that no longer exists — so eviction changes no hit and no
 //! result. It bounds the cache to the entries of one community: at most
 //! cacheable customers × rounds per solve × solves of that community —
-//! one day of clearing for the runner's caches — instead of every day of
+//! one day of clearing for the runner's cache — instead of every day of
 //! the run.
 //!
 //! ## Invalidation
@@ -86,9 +87,7 @@
 use std::collections::{HashMap, HashSet};
 
 use nms_smarthome::CustomerSchedule;
-use nms_types::ValidateError;
-
-use crate::game::Fnv1a;
+use nms_types::{Fnv1a, ValidateError};
 
 /// Quantized-bucket / exact-verified memo key pair for one best-response
 /// invocation. Built by the game engine from the SoA lanes; see the

@@ -14,11 +14,11 @@ use serde::{Deserialize, Serialize};
 use nms_par::Parallelism;
 use nms_pricing::{CostModel, NetMeteringTariff, PriceSignal};
 use nms_smarthome::{Community, CommunitySchedule, Customer, CustomerSchedule};
-use nms_types::ValidateError;
+use nms_types::{Fnv1a, ValidateError};
 
 use crate::batch::BatchResponseWorkspace;
 use crate::cache::{schedule_fingerprint, PersistentCache, PersistentKey, COLD_WARM_FP};
-use crate::{best_response_slice_in, ResponseConfig, ResponseWorkspace, SolverError};
+use crate::{best_response_in, ResponseConfig, ResponseWorkspace, SolverError};
 
 /// Configuration for [`GameEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -38,7 +38,7 @@ pub struct GameConfig {
     /// Accepted and validated, but ignored. It once keyed an unverified
     /// per-solve memo cache on quantized inputs; that cache is gone, and
     /// exact-verified memoization is opt-in through
-    /// [`GameEngine::solve_persistent`] (DESIGN.md §15). Kept so serialized
+    /// [`GameEngine::solve_with`] (DESIGN.md §15). Kept so serialized
     /// configurations keep loading.
     #[serde(default)]
     pub cache_quantum: f64,
@@ -140,60 +140,6 @@ pub struct GameOutcome {
     pub cache: CacheStats,
 }
 
-/// Which guideline price each customer's smart controller sees.
-///
-/// Under a pricing cyberattack, hacked meters receive a *manipulated*
-/// signal while healthy meters see the broadcast one — the game must let
-/// customers optimize against their own believed prices.
-#[derive(Debug, Clone, Copy)]
-pub enum PriceAssignment<'a> {
-    /// Every customer sees the same signal (the no-attack case).
-    Uniform(&'a PriceSignal),
-    /// `signals[i]` is what customer `i`'s meter reports.
-    PerCustomer(&'a [PriceSignal]),
-}
-
-impl<'a> PriceAssignment<'a> {
-    /// The signal customer `index` optimizes against.
-    #[inline]
-    pub fn for_customer(&self, index: usize) -> &'a PriceSignal {
-        match self {
-            Self::Uniform(signal) => signal,
-            Self::PerCustomer(signals) => &signals[index],
-        }
-    }
-
-    fn validate(&self, customers: usize, slots: usize) -> Result<(), ValidateError> {
-        match self {
-            Self::Uniform(signal) => {
-                if signal.len() != slots {
-                    return Err(ValidateError::new(format!(
-                        "price signal covers {} slots, community horizon {slots}",
-                        signal.len()
-                    )));
-                }
-            }
-            Self::PerCustomer(signals) => {
-                if signals.len() != customers {
-                    return Err(ValidateError::new(format!(
-                        "{} price signals for {customers} customers",
-                        signals.len()
-                    )));
-                }
-                for (i, signal) in signals.iter().enumerate() {
-                    if signal.len() != slots {
-                        return Err(ValidateError::new(format!(
-                            "price signal for customer {i} covers {} slots, horizon {slots}",
-                            signal.len()
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Solves the Net Metering Aware Energy Consumption Scheduling Game for a
 /// community under a guideline price (paper §3.1).
 ///
@@ -204,7 +150,7 @@ impl<'a> PriceAssignment<'a> {
 #[derive(Debug)]
 pub struct GameEngine<'a> {
     community: &'a Community,
-    prices: PriceAssignment<'a>,
+    prices: &'a PriceSignal,
     tariff: NetMeteringTariff,
     config: GameConfig,
 }
@@ -222,25 +168,14 @@ impl<'a> GameEngine<'a> {
         tariff: NetMeteringTariff,
         config: GameConfig,
     ) -> Result<Self, ValidateError> {
-        Self::with_price_assignment(community, PriceAssignment::Uniform(prices), tariff, config)
-    }
-
-    /// Like [`GameEngine::new`] but with per-customer price signals (e.g.
-    /// hacked meters seeing a manipulated price).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ValidateError`] when any signal's horizon disagrees with
-    /// the community's, the signal count is wrong, or the configuration is
-    /// invalid.
-    pub fn with_price_assignment(
-        community: &'a Community,
-        prices: PriceAssignment<'a>,
-        tariff: NetMeteringTariff,
-        config: GameConfig,
-    ) -> Result<Self, ValidateError> {
         config.validate()?;
-        prices.validate(community.len(), community.horizon().slots())?;
+        let slots = community.horizon().slots();
+        if prices.len() != slots {
+            return Err(ValidateError::new(format!(
+                "price signal covers {} slots, community horizon {slots}",
+                prices.len()
+            )));
+        }
         Ok(Self {
             community,
             prices,
@@ -256,6 +191,17 @@ impl<'a> GameEngine<'a> {
     }
 
     /// Runs the iterative best-response loop, deterministically seeded from
+    /// `rng`, without telemetry or cache: [`GameEngine::solve_with`] with
+    /// the no-op recorder and no [`PersistentCache`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SolverError`] from any customer's subproblem.
+    pub fn solve(&self, rng: &mut impl Rng) -> Result<GameOutcome, SolverError> {
+        self.solve_with(rng, &NoopRecorder, None)
+    }
+
+    /// Runs the iterative best-response loop, deterministically seeded from
     /// `rng`.
     ///
     /// Per-customer seeds for every round are drawn from `rng` up front and
@@ -263,69 +209,27 @@ impl<'a> GameEngine<'a> {
     /// downstream consumer of `rng`) is identical across thread counts and
     /// cache settings.
     ///
-    /// # Errors
-    ///
-    /// Propagates [`SolverError`] from any customer's subproblem.
-    pub fn solve(&self, rng: &mut impl Rng) -> Result<GameOutcome, SolverError> {
-        self.solve_recorded(rng, &NoopRecorder)
-    }
-
-    /// [`GameEngine::solve`] with solver telemetry: per-round `game_round`
-    /// events (Jacobi/Gauss–Seidel residuals), a closing `game_solved`
-    /// event, `solver_round_delta` observations, and
-    /// `solver_games` / `solver_rounds` / `solver_cache_*` counters into
-    /// `rec` — plus everything [`best_response_recorded`] tallies per
+    /// `rec` receives solver telemetry: per-round `game_round` events
+    /// (Jacobi/Gauss–Seidel residuals), a closing `game_solved` event,
+    /// `solver_round_delta` observations, and `solver_games` /
+    /// `solver_rounds` / `solver_cache_*` counters — plus everything
+    /// [`best_response_recorded`](crate::best_response_recorded) tallies per
     /// customer. Recording only reads values the solve already produced
     /// (see the crate-level RNG-neutrality contract in `nms-obs`), so the
-    /// outcome is bit-identical to [`GameEngine::solve`] under the same
-    /// seed.
+    /// outcome does not depend on the recorder.
+    ///
+    /// With a cross-solve [`PersistentCache`] (DESIGN.md §15), pure-DP
+    /// customers whose inputs the cache has seen — in an earlier round of
+    /// this solve or in an earlier solve of the same community — skip the
+    /// re-solve. Hits are exact-verified, so the outcome is bit-identical to
+    /// the uncached solve under the same seed. Entries of customers absent
+    /// from this community are evicted first (see [`PersistentCache`]'s
+    /// entry lifetime).
     ///
     /// # Errors
     ///
     /// Propagates [`SolverError`] from any customer's subproblem.
-    pub fn solve_recorded(
-        &self,
-        rng: &mut impl Rng,
-        rec: &dyn Recorder,
-    ) -> Result<GameOutcome, SolverError> {
-        self.solve_with(rng, rec, None)
-    }
-
-    /// [`GameEngine::solve`] backed by a cross-solve [`PersistentCache`]
-    /// (DESIGN.md §15): pure-DP customers whose inputs the cache has seen —
-    /// in an earlier round of this solve or in an earlier solve of the same
-    /// community — skip the re-solve. Hits are exact-verified, so the
-    /// outcome is bit-identical to [`GameEngine::solve`] under the same
-    /// seed. Entries of customers absent from this community are evicted
-    /// first (see [`PersistentCache`]'s entry lifetime).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SolverError`] from any customer's subproblem.
-    pub fn solve_persistent(
-        &self,
-        rng: &mut impl Rng,
-        cache: &mut PersistentCache,
-    ) -> Result<GameOutcome, SolverError> {
-        self.solve_with(rng, &NoopRecorder, Some(cache))
-    }
-
-    /// [`GameEngine::solve_persistent`] with the same telemetry as
-    /// [`GameEngine::solve_recorded`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SolverError`] from any customer's subproblem.
-    pub fn solve_persistent_recorded(
-        &self,
-        rng: &mut impl Rng,
-        rec: &dyn Recorder,
-        cache: &mut PersistentCache,
-    ) -> Result<GameOutcome, SolverError> {
-        self.solve_with(rng, rec, Some(cache))
-    }
-
-    fn solve_with(
+    pub fn solve_with(
         &self,
         rng: &mut impl Rng,
         rec: &dyn Recorder,
@@ -334,15 +238,13 @@ impl<'a> GameEngine<'a> {
         let _game_span = span(rec, "game_solve");
         let horizon = self.community.horizon();
         let n = self.community.len();
+        let cost_model = CostModel::new(self.prices, self.tariff);
 
         let mut schedules: Vec<Option<CustomerSchedule>> = vec![None; n];
-        // SoA slabs for the round kernels: per-customer trading and price
-        // lanes plus the running total, all flat `f64` (DESIGN.md §15).
+        // SoA slabs for the round kernels: per-customer trading lanes plus
+        // the running total, all flat `f64` (DESIGN.md §15).
         let mut batch = BatchResponseWorkspace::new();
         batch.begin(n, horizon.slots());
-        for index in 0..n {
-            batch.set_price_lane(index, self.prices.for_customer(index));
-        }
         let mut history = Vec::new();
         let mut converged = false;
         let mut rounds = 0;
@@ -351,27 +253,27 @@ impl<'a> GameEngine<'a> {
         // parallel rounds hold one per worker instead (DESIGN.md §11).
         let mut ws = ResponseWorkspace::default();
 
-        // Per-solve fingerprints for the persistent key: the customer's
-        // full definition and its believed price lane, hashed once. `None`
+        // Per-solve fingerprints for the persistent key: each customer's
+        // full definition and the guideline price, hashed once. `None`
         // marks battery-active customers, whose response consumes the CE
         // RNG stream and must never be cached.
         let persist_meta: Vec<Option<(u64, u64)>> = match persistent.as_deref_mut() {
             None => Vec::new(),
             Some(p) => {
                 p.ensure_config(self.persistent_context_hash());
+                let mut price = Fnv1a::new();
+                for slot in 0..horizon.slots() {
+                    price.word(self.prices.at(slot).value().to_bits());
+                }
+                let price_fp = price.finish();
                 let meta: Vec<Option<(u64, u64)>> = self
                     .community
                     .iter()
-                    .enumerate()
-                    .map(|(index, customer)| {
+                    .map(|customer| {
                         if self.config.response.use_battery && customer.battery().is_usable() {
                             None
                         } else {
-                            let mut price = Fnv1a::new();
-                            for &value in batch.price_lane(index) {
-                                price.word(value.to_bits());
-                            }
-                            Some((customer_fingerprint(customer), price.finish()))
+                            Some((customer_fingerprint(customer), price_fp))
                         }
                     })
                     .collect();
@@ -425,9 +327,7 @@ impl<'a> GameEngine<'a> {
                         }
                         Probe::Miss(key) => {
                             let mut child = ChaCha8Rng::seed_from_u64(seeds[index]);
-                            let cost_model =
-                                CostModel::new(self.prices.for_customer(index), self.tariff);
-                            let response = best_response_slice_in(
+                            let response = best_response_in(
                                 customer,
                                 batch.others(),
                                 cost_model,
@@ -567,11 +467,11 @@ impl<'a> GameEngine<'a> {
         rec: &dyn Recorder,
     ) -> Result<Vec<CustomerSchedule>, SolverError> {
         // Workers record only the commutative metric methods (via
-        // best_response_slice_in), so totals stay reproducible at any
+        // best_response_in), so totals stay reproducible at any
         // thread count. Each worker owns one scratch arena plus an others
         // buffer for its whole run, so steady-state rounds allocate nothing
         // per response.
-        nms_par::par_map_scratch_recorded(
+        nms_par::par_map_scratch(
             self.config.parallelism.threads,
             indices,
             rec,
@@ -580,11 +480,10 @@ impl<'a> GameEngine<'a> {
                 let customer = &self.community.customers()[index];
                 batch.fill_others_into(index, others);
                 let mut child = ChaCha8Rng::seed_from_u64(seeds[index]);
-                let cost_model = CostModel::new(self.prices.for_customer(index), self.tariff);
-                best_response_slice_in(
+                best_response_in(
                     customer,
-                    others,
-                    cost_model,
+                    others.as_slice(),
+                    CostModel::new(self.prices, self.tariff),
                     &self.config.response,
                     schedules[index].as_ref(),
                     &mut child,
@@ -713,40 +612,6 @@ fn customer_fingerprint(customer: &Customer) -> u64 {
         fp.word(value.to_bits());
     }
     fp.finish()
-}
-
-/// FNV-1a-style 64-bit hasher, never persisted — values live only inside
-/// this process's cache keys and fingerprints, so the mixing scheme can
-/// change freely between versions. Shared with the persistent cache's key
-/// pairs (`crate::cache`).
-pub(crate) struct Fnv1a(u64);
-
-impl Fnv1a {
-    pub(crate) fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Mixes a whole `u64` in one xor + multiply step. Eight times fewer
-    /// operations than byte-at-a-time FNV-1a; the hot cache-probe path
-    /// hashes tens of words per best-response invocation, so this is the
-    /// difference between the probe costing less than the DP it saves and
-    /// more.
-    #[inline]
-    pub(crate) fn word(&mut self, word: u64) {
-        self.0 ^= word;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]
@@ -1077,7 +942,9 @@ mod tests {
 
         let mut cache = PersistentCache::new(1e-6).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let first = engine.solve_persistent(&mut rng, &mut cache).unwrap();
+        let first = engine
+            .solve_with(&mut rng, &NoopRecorder, Some(&mut cache))
+            .unwrap();
         for (a, b) in plain
             .schedule
             .customer_schedules()
@@ -1095,7 +962,9 @@ mod tests {
         // The identical solve again: round one re-probes the cold-start
         // inputs the first solve already answered, so it hits immediately.
         let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let second = engine.solve_persistent(&mut rng, &mut cache).unwrap();
+        let second = engine
+            .solve_with(&mut rng, &NoopRecorder, Some(&mut cache))
+            .unwrap();
         for (a, b) in plain
             .schedule
             .customer_schedules()
@@ -1135,7 +1004,9 @@ mod tests {
 
         let mut cache = PersistentCache::new(1e-6).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(24);
-        let cached = engine.solve_persistent(&mut rng, &mut cache).unwrap();
+        let cached = engine
+            .solve_with(&mut rng, &NoopRecorder, Some(&mut cache))
+            .unwrap();
         for (a, b) in plain
             .schedule
             .customer_schedules()
@@ -1168,7 +1039,9 @@ mod tests {
         )
         .unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(25);
-        engine.solve_persistent(&mut rng, &mut cache).unwrap();
+        engine
+            .solve_with(&mut rng, &NoopRecorder, Some(&mut cache))
+            .unwrap();
         assert!(!cache.is_empty());
 
         // A different response configuration must drop every entry before
@@ -1178,7 +1051,9 @@ mod tests {
         let engine =
             GameEngine::new(&community, &prices, NetMeteringTariff::default(), config).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(25);
-        let outcome = engine.solve_persistent(&mut rng, &mut cache).unwrap();
+        let outcome = engine
+            .solve_with(&mut rng, &NoopRecorder, Some(&mut cache))
+            .unwrap();
         assert_eq!(cache.invalidations(), 1);
         assert_eq!(
             outcome.cache.hits_by_round.first().copied().unwrap_or(0),
@@ -1206,7 +1081,11 @@ mod tests {
         let plain = engine.solve(&mut ChaCha8Rng::seed_from_u64(23)).unwrap();
         let mut cache = PersistentCache::new(1e-6).unwrap();
         let cached = engine
-            .solve_persistent(&mut ChaCha8Rng::seed_from_u64(23), &mut cache)
+            .solve_with(
+                &mut ChaCha8Rng::seed_from_u64(23),
+                &NoopRecorder,
+                Some(&mut cache),
+            )
             .unwrap();
 
         // The cache skips re-solves but must not change what anyone
@@ -1265,7 +1144,11 @@ mod tests {
             )
             .unwrap();
             engine
-                .solve_persistent(&mut ChaCha8Rng::seed_from_u64(26), cache)
+                .solve_with(
+                    &mut ChaCha8Rng::seed_from_u64(26),
+                    &NoopRecorder,
+                    Some(cache),
+                )
                 .unwrap()
         };
 

@@ -14,7 +14,9 @@ use nms_pricing::{CostModel, NetMeteringTariff, PriceSignal};
 use nms_smarthome::{Community, CommunitySchedule};
 use nms_types::{Dollars, TimeSeries};
 
-use crate::{best_response, PriceAssignment, ResponseConfig, SolverError};
+use nms_obs::NoopRecorder;
+
+use crate::{best_response_in, ResponseConfig, ResponseWorkspace, SolverError};
 
 /// Per-customer and aggregate exploitability of a schedule.
 #[derive(Debug, Clone)]
@@ -34,7 +36,7 @@ impl NashGap {
     }
 }
 
-/// Measures the Nash gap of `schedule` under the given price assignment.
+/// Measures the Nash gap of `schedule` under the guideline price `prices`.
 ///
 /// For each customer, the current cost is compared against the cost of a
 /// freshly computed best response to the *other* customers' scheduled
@@ -51,7 +53,7 @@ impl NashGap {
 pub fn nash_gap(
     community: &Community,
     schedule: &CommunitySchedule,
-    prices: PriceAssignment<'_>,
+    prices: &PriceSignal,
     tariff: NetMeteringTariff,
     config: &ResponseConfig,
     rng: &mut impl Rng,
@@ -70,16 +72,25 @@ pub fn nash_gap(
             .sum()
     });
 
+    let cost_model = CostModel::new(prices, tariff);
+    let mut ws = ResponseWorkspace::default();
     let mut per_customer = Vec::with_capacity(community.len());
     for (index, customer) in community.iter().enumerate() {
         let own = &schedule.customer_schedules()[index];
         let others = total.sub(own.trading()).expect("aligned horizons");
-        let price: &PriceSignal = prices.for_customer(index);
-        let cost_model = CostModel::new(price, tariff);
         let current_cost = cost_model.customer_cost(&others, own.trading());
 
         let mut child = ChaCha8Rng::seed_from_u64(rng.gen());
-        let response = best_response(customer, &others, cost_model, config, Some(own), &mut child)?;
+        let response = best_response_in(
+            customer,
+            &others,
+            cost_model,
+            config,
+            Some(own),
+            &mut child,
+            &NoopRecorder,
+            &mut ws,
+        )?;
         let improved_cost = cost_model.customer_cost(&others, response.trading());
         // The warm-started response can only match or beat the current
         // plan; clamp tiny negative noise.
@@ -140,7 +151,7 @@ mod tests {
         let gap = nash_gap(
             &community,
             &outcome.schedule,
-            PriceAssignment::Uniform(&prices),
+            &prices,
             tariff,
             &ResponseConfig::default(),
             &mut rng,
@@ -184,7 +195,7 @@ mod tests {
         let weak_gap = nash_gap(
             &community,
             &weak_outcome.schedule,
-            PriceAssignment::Uniform(&prices),
+            &prices,
             tariff,
             &probe,
             &mut rng_gap,
@@ -194,7 +205,7 @@ mod tests {
         let strong_gap = nash_gap(
             &community,
             &strong_outcome.schedule,
-            PriceAssignment::Uniform(&prices),
+            &prices,
             tariff,
             &probe,
             &mut rng_gap,

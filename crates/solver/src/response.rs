@@ -4,7 +4,7 @@
 
 use std::cell::Cell;
 
-use nms_obs::{span, NoopRecorder, Recorder};
+use nms_obs::{span, Recorder};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -14,11 +14,11 @@ use nms_types::{TimeSeries, ValidateError};
 
 use crate::workspace::{series_for, ResponseWorkspace};
 use crate::{
-    coordinate_descent_battery, try_optimize_battery_budgeted_in, BatteryProblem, CeConfig,
-    CrossEntropyOptimizer, DpScheduler, SolverError,
+    coordinate_descent_battery, optimize_battery, BatteryProblem, CeConfig, CrossEntropyOptimizer,
+    DpScheduler, SolverError,
 };
 
-/// Configuration for [`best_response`].
+/// Configuration for [`best_response_recorded`] and its workspace form.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ResponseConfig {
     /// DP quantum resolution (see [`DpScheduler`]).
@@ -72,45 +72,21 @@ impl Default for ResponseConfig {
 }
 
 /// Computes the customer's best response to the other customers' aggregate
-/// trading `others_trading` (`Σ_{i≠n} y_i^h`, kWh per slot).
+/// trading `others_trading` (`Σ_{i≠n} y_i^h`, kWh per slot), with solver
+/// telemetry: tallies DP cost-cell evaluations (`solver_dp_cells`),
+/// cross-entropy solves / iterations / convergences (`solver_ce_*`), and
+/// the CE variance trajectory (`solver_ce_std` observations) into `rec`.
+/// Recording reads only values the solve already produced and draws
+/// nothing from `rng`, so the returned schedule does not depend on the
+/// recorder.
 ///
 /// `previous` warm-starts the appliance allocation and battery trajectory
-/// when available.
+/// when available. This is [`best_response_in`] with a fresh workspace.
 ///
 /// # Errors
 ///
 /// Returns [`SolverError`] when an appliance subproblem is infeasible or
 /// the assembled schedule fails validation.
-pub fn best_response(
-    customer: &Customer,
-    others_trading: &TimeSeries<f64>,
-    cost_model: CostModel<'_>,
-    config: &ResponseConfig,
-    previous: Option<&CustomerSchedule>,
-    rng: &mut impl Rng,
-) -> Result<CustomerSchedule, SolverError> {
-    best_response_recorded(
-        customer,
-        others_trading,
-        cost_model,
-        config,
-        previous,
-        rng,
-        &NoopRecorder,
-    )
-}
-
-/// [`best_response`] with solver telemetry: tallies DP cost-cell
-/// evaluations (`solver_dp_cells`), cross-entropy solves / iterations /
-/// convergences (`solver_ce_*`), and the CE variance trajectory
-/// (`solver_ce_std` observations) into `rec`. Recording reads only values
-/// the solve already produced and draws nothing from `rng`, so the
-/// returned schedule is bit-identical to [`best_response`] under the same
-/// seed.
-///
-/// # Errors
-///
-/// Same as [`best_response`].
 #[allow(clippy::too_many_arguments)]
 pub fn best_response_recorded(
     customer: &Customer,
@@ -140,13 +116,17 @@ pub fn best_response_recorded(
 /// inner loop allocation-free (see DESIGN.md §11). Bit-identical to
 /// [`best_response_recorded`] under the same seed.
 ///
+/// `others_trading` is a [`TimeSeries`] or a raw per-slot slice — the
+/// structure-of-arrays form the game engine's round kernels hand over
+/// straight from their flat `f64` lanes.
+///
 /// # Errors
 ///
-/// Same as [`best_response`].
+/// Same as [`best_response_recorded`].
 #[allow(clippy::too_many_arguments)]
 pub fn best_response_in(
     customer: &Customer,
-    others_trading: &TimeSeries<f64>,
+    others_trading: &(impl AsRef<[f64]> + ?Sized),
     cost_model: CostModel<'_>,
     config: &ResponseConfig,
     previous: Option<&CustomerSchedule>,
@@ -156,42 +136,7 @@ pub fn best_response_in(
 ) -> Result<CustomerSchedule, SolverError> {
     best_response_core(
         customer,
-        others_trading.as_slice(),
-        cost_model,
-        config,
-        previous,
-        rng,
-        rec,
-        ws,
-        true,
-    )
-}
-
-/// [`best_response_in`] with the others-trading series supplied as a raw
-/// per-slot slice instead of a [`TimeSeries`] — the structure-of-arrays
-/// entry point the game engine's batched round kernels use: one Jacobi or
-/// Gauss–Seidel round walks flat `f64` lanes and hands each customer's
-/// others-lane straight to the solve with no series materialization.
-/// Bit-identical to [`best_response_in`] over a series holding the same
-/// values (the slice *is* the series' storage).
-///
-/// # Errors
-///
-/// Same as [`best_response`].
-#[allow(clippy::too_many_arguments)]
-pub fn best_response_slice_in(
-    customer: &Customer,
-    others_trading: &[f64],
-    cost_model: CostModel<'_>,
-    config: &ResponseConfig,
-    previous: Option<&CustomerSchedule>,
-    rng: &mut impl Rng,
-    rec: &dyn Recorder,
-    ws: &mut ResponseWorkspace,
-) -> Result<CustomerSchedule, SolverError> {
-    best_response_core(
-        customer,
-        others_trading,
+        others_trading.as_ref(),
         cost_model,
         config,
         previous,
@@ -213,7 +158,7 @@ pub fn best_response_slice_in(
 ///
 /// # Errors
 ///
-/// Same as [`best_response`].
+/// Same as [`best_response_recorded`].
 #[allow(clippy::too_many_arguments)]
 pub fn best_response_reference(
     customer: &Customer,
@@ -390,7 +335,7 @@ fn best_response_core(
                 warm_prev
             };
             let (trajectory, solution) =
-                try_optimize_battery_budgeted_in(&problem, &ce, Some(warm), rng, None, ce_ws)
+                optimize_battery(&problem, &ce, Some(warm), rng, None, ce_ws)
                     .unwrap_or_else(|err| panic!("{err}"));
             rec.add("solver_ce_solves", 1);
             rec.add("solver_ce_iterations", solution.iterations as u64);
@@ -419,6 +364,7 @@ fn best_response_core(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nms_obs::NoopRecorder;
     use nms_pricing::{NetMeteringTariff, PriceSignal};
     use nms_smarthome::{
         clear_sky_profile, Appliance, ApplianceKind, Battery, PowerLevels, PvPanel, TaskSpec,
@@ -487,13 +433,14 @@ mod tests {
         let cost_model = CostModel::new(&prices, NetMeteringTariff::default());
         let others = TimeSeries::filled(day(), 10.0);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let schedule = best_response(
+        let schedule = best_response_recorded(
             &customer,
             &others,
             cost_model,
             &ResponseConfig::default(),
             None,
             &mut rng,
+            &NoopRecorder,
         )
         .unwrap();
         // The flexible water heater's 4 kWh should avoid 17:00–21:00.
@@ -516,13 +463,14 @@ mod tests {
         let cost_model = CostModel::new(&prices, NetMeteringTariff::default());
         let others = TimeSeries::filled(day(), 10.0);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let with_battery = best_response(
+        let with_battery = best_response_recorded(
             &customer,
             &others,
             cost_model,
             &ResponseConfig::default(),
             None,
             &mut rng,
+            &NoopRecorder,
         )
         .unwrap();
         let no_battery_config = ResponseConfig {
@@ -530,13 +478,14 @@ mod tests {
             ..ResponseConfig::default()
         };
         let mut rng2 = ChaCha8Rng::seed_from_u64(2);
-        let without_battery = best_response(
+        let without_battery = best_response_recorded(
             &customer,
             &others,
             cost_model,
             &no_battery_config,
             None,
             &mut rng2,
+            &NoopRecorder,
         )
         .unwrap();
         let cost = |s: &CustomerSchedule| cost_model.customer_cost(&others, s.trading()).value();
@@ -550,22 +499,24 @@ mod tests {
         let cost_model = CostModel::new(&prices, NetMeteringTariff::default());
         let others = TimeSeries::filled(day(), 10.0);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let first = best_response(
+        let first = best_response_recorded(
             &customer,
             &others,
             cost_model,
             &ResponseConfig::fast(),
             None,
             &mut rng,
+            &NoopRecorder,
         )
         .unwrap();
-        let second = best_response(
+        let second = best_response_recorded(
             &customer,
             &others,
             cost_model,
             &ResponseConfig::fast(),
             Some(&first),
             &mut rng,
+            &NoopRecorder,
         )
         .unwrap();
         // Warm-started responses remain feasible and at least as good.
@@ -584,8 +535,16 @@ mod tests {
             ..ResponseConfig::default()
         };
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let schedule =
-            best_response(&customer, &others, cost_model, &config, None, &mut rng).unwrap();
+        let schedule = best_response_recorded(
+            &customer,
+            &others,
+            cost_model,
+            &config,
+            None,
+            &mut rng,
+            &NoopRecorder,
+        )
+        .unwrap();
         let initial = customer.battery().initial_charge();
         assert!(schedule.battery().iter().all(|&b| b == initial));
     }
@@ -597,13 +556,14 @@ mod tests {
         let cost_model = CostModel::new(&prices, NetMeteringTariff::default());
         let others = TimeSeries::filled(day(), 10.0);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let schedule = best_response(
+        let schedule = best_response_recorded(
             &customer,
             &others,
             cost_model,
             &ResponseConfig::default(),
             None,
             &mut rng,
+            &NoopRecorder,
         )
         .unwrap();
         // Total purchases < total task energy because PV feeds part of it.

@@ -23,10 +23,9 @@ use rand_chacha::ChaCha8Rng;
 
 use nms_types::{FallbackRecord, Kwh, RetryPolicy, SolveBudget};
 
-use crate::battery::try_optimize_battery_budgeted;
 use crate::{
-    coordinate_descent_battery, BatteryProblem, CeConfig, CeSolution, CrossEntropyOptimizer,
-    SolverError,
+    coordinate_descent_battery, optimize_battery, BatteryProblem, CeConfig, CeSolution,
+    CeWorkspace, CrossEntropyOptimizer, SolverError,
 };
 
 /// Coordinate-descent sweeps used by the fallback stage (matches the
@@ -111,6 +110,7 @@ pub fn solve_battery_robust(
     let mut retries = 0;
     let mut budget_breached = false;
     let mut abandon_reason = String::new();
+    let mut ws = CeWorkspace::default();
     for attempt in 0..policy.max_attempts {
         if attempt > 0 {
             retries += 1;
@@ -121,8 +121,14 @@ pub fn solve_battery_robust(
         };
         let optimizer = CrossEntropyOptimizer::new(config);
         let mut rng = ChaCha8Rng::seed_from_u64(policy.reseed(seed, attempt));
-        match try_optimize_battery_budgeted(problem, &optimizer, warm_start, &mut rng, Some(&clock))
-        {
+        match optimize_battery(
+            problem,
+            &optimizer,
+            warm_start,
+            &mut rng,
+            Some(&clock),
+            &mut ws,
+        ) {
             Ok((trajectory, solution)) if solution.converged => {
                 let objective = solution.objective;
                 return Ok(RobustBatteryOutcome {
@@ -325,8 +331,15 @@ mod tests {
             ..strangled
         });
         let mut rng = ChaCha8Rng::seed_from_u64(policy.reseed(7, 0));
-        let (_, ce_iterate) =
-            try_optimize_battery_budgeted(&problem, &optimizer, None, &mut rng, None).unwrap();
+        let (_, ce_iterate) = optimize_battery(
+            &problem,
+            &optimizer,
+            None,
+            &mut rng,
+            None,
+            &mut CeWorkspace::default(),
+        )
+        .unwrap();
         assert!(
             outcome.objective <= ce_iterate.objective + 1e-12,
             "fallback {} vs CE iterate {}",

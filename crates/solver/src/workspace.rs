@@ -14,7 +14,7 @@
 //! [`best_response_in`](crate::best_response_in) for every solve: the
 //! sequential Gauss–Seidel game loop keeps a single workspace across all
 //! customers and rounds; parallel Jacobi rounds give each worker its own via
-//! [`nms_par::par_map_scratch_recorded`]. Buffers carry no state between
+//! [`nms_par::par_map_scratch`]. Buffers carry no state between
 //! solves — every solve fully reinitializes the prefix it reads — so reuse
 //! is bit-identical to fresh allocation (`tests/solver_workspace.rs` pins
 //! this byte-for-byte).

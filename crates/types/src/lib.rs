@@ -22,6 +22,7 @@
 
 mod error;
 mod fleet;
+mod hash;
 mod health;
 mod horizon;
 mod id;
@@ -30,6 +31,7 @@ mod series;
 
 pub use error::{HorizonMismatchError, ValidateError};
 pub use fleet::{FleetHealth, ShardHealth, ShardStage};
+pub use hash::{fnv1a64, Fnv1a};
 pub use health::{
     BudgetClock, DayHealth, FallbackRecord, FaultCounts, FaultKind, RetryPolicy, RunHealth,
     SolveBudget, StorageFaultCounts, StorageFaultLedger,

@@ -251,6 +251,13 @@ impl<T> IndexMut<usize> for TimeSeries<T> {
     }
 }
 
+impl<T> AsRef<[T]> for TimeSeries<T> {
+    #[inline]
+    fn as_ref(&self) -> &[T] {
+        &self.values
+    }
+}
+
 impl<'a, T> IntoIterator for &'a TimeSeries<T> {
     type Item = &'a T;
     type IntoIter = std::slice::Iter<'a, T>;

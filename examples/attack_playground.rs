@@ -7,10 +7,11 @@
 
 use std::error::Error;
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use netmeter_sentinel::attack::{AttackImpact, CompromiseSet, PriceAttack};
+use netmeter_sentinel::obs::NoopRecorder;
 use netmeter_sentinel::pricing::BillingEngine;
 use netmeter_sentinel::sim::{render_table, Market, PaperScenario};
 
@@ -33,7 +34,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let community = generator.community_for_day(0, weather[0]);
 
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let clean = market.clear_day(&community, 2, &mut rng)?;
+    let clean = market.clear_day(&community, 2, rng.gen(), &NoopRecorder, None)?;
     let billing = BillingEngine::new(clean.price.clone(), scenario.tariff);
     let clean_bill = billing.total_revenue(&clean.response.schedule)?;
     println!(
@@ -66,9 +67,13 @@ fn main() -> Result<(), Box<dyn Error>> {
         let manipulated = attack.apply(&clean.price);
         // The whole community believes the manipulated price…
         let mut attacked_rng = ChaCha8Rng::seed_from_u64(seed);
-        let attacked = market
-            .truth_model()
-            .predict(&community, &manipulated, &mut attacked_rng)?;
+        let attacked = market.truth_model().predict(
+            &community,
+            &manipulated,
+            &mut attacked_rng,
+            &NoopRecorder,
+            None,
+        )?;
         // …but is billed at the real one.
         let impact = AttackImpact::assess(
             &clean.response.schedule,

@@ -1,11 +1,12 @@
 //! End-to-end tests of the detection framework: single-event detection,
 //! unilateral attack realizations, and the long-term POMDP loop.
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use netmeter_sentinel::attack::{AttackTimeline, PriceAttack};
 use netmeter_sentinel::core::{DetectorMode, FrameworkConfig, SingleEventDetector};
+use netmeter_sentinel::obs::NoopRecorder;
 use netmeter_sentinel::sim::{run_long_term_detection, LongTermRunConfig, Market, PaperScenario};
 use netmeter_sentinel::types::MeterId;
 
@@ -25,7 +26,9 @@ fn single_event_detector_flags_real_attack_not_clean_day() {
     let weather = s.weather_factors(1);
     let community = generator.community_for_day(0, weather[0]);
     let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let clean = market.clear_day(&community, 2, &mut rng).unwrap();
+    let clean = market
+        .clear_day(&community, 2, rng.gen(), &NoopRecorder, None)
+        .unwrap();
     let manipulated = attack().apply(&clean.price);
 
     let framework = FrameworkConfig::new(DetectorMode::NetMeteringAware, 24);
@@ -57,7 +60,9 @@ fn unilateral_deviation_scales_with_hacked_count() {
     let weather = s.weather_factors(1);
     let community = generator.community_for_day(0, weather[0]);
     let mut rng = ChaCha8Rng::seed_from_u64(2);
-    let clean = market.clear_day(&community, 2, &mut rng).unwrap();
+    let clean = market
+        .clear_day(&community, 2, rng.gen(), &NoopRecorder, None)
+        .unwrap();
     let manipulated = attack().apply(&clean.price);
 
     let mut last_excess = 0.0;
@@ -72,6 +77,7 @@ fn unilateral_deviation_scales_with_hacked_count() {
                 &manipulated,
                 &meters,
                 &mut child,
+                &NoopRecorder,
             )
             .unwrap();
         let excess: f64 = (0..24)
@@ -98,7 +104,9 @@ fn honest_homes_keep_their_plans_under_unilateral_deviation() {
     let weather = s.weather_factors(1);
     let community = generator.community_for_day(0, weather[0]);
     let mut rng = ChaCha8Rng::seed_from_u64(4);
-    let clean = market.clear_day(&community, 2, &mut rng).unwrap();
+    let clean = market
+        .clear_day(&community, 2, rng.gen(), &NoopRecorder, None)
+        .unwrap();
     let manipulated = attack().apply(&clean.price);
 
     let meters = vec![MeterId::new(0), MeterId::new(1)];
@@ -111,6 +119,7 @@ fn honest_homes_keep_their_plans_under_unilateral_deviation() {
             &manipulated,
             &meters,
             &mut child,
+            &NoopRecorder,
         )
         .unwrap();
     for index in 2..community.len() {

@@ -141,8 +141,8 @@ fn battery_fallback_chain_is_recorded_and_no_worse() {
     use netmeter_sentinel::pricing::{CostModel, NetMeteringTariff, PriceSignal};
     use netmeter_sentinel::smarthome::Battery;
     use netmeter_sentinel::solver::{
-        solve_battery_robust, try_optimize_battery, BatteryProblem, BatterySolveStage, CeConfig,
-        CrossEntropyOptimizer,
+        optimize_battery, solve_battery_robust, BatteryProblem, BatterySolveStage, CeConfig,
+        CeWorkspace, CrossEntropyOptimizer,
     };
     use netmeter_sentinel::types::{Horizon, Kwh, TimeSeries};
 
@@ -197,7 +197,15 @@ fn battery_fallback_chain_is_recorded_and_no_worse() {
     // No worse than the non-converged CE iterate it replaced.
     let optimizer = CrossEntropyOptimizer::new(strangled);
     let mut rng = ChaCha8Rng::seed_from_u64(policy.reseed(77, 0));
-    let (_, ce_iterate) = try_optimize_battery(&problem, &optimizer, None, &mut rng).unwrap();
+    let (_, ce_iterate) = optimize_battery(
+        &problem,
+        &optimizer,
+        None,
+        &mut rng,
+        None,
+        &mut CeWorkspace::default(),
+    )
+    .unwrap();
     assert!(outcome.objective <= ce_iterate.objective + 1e-12);
 }
 

@@ -6,9 +6,7 @@ use rand_chacha::ChaCha8Rng;
 
 use netmeter_sentinel::pricing::{NetMeteringTariff, PriceSignal};
 use netmeter_sentinel::sim::PaperScenario;
-use netmeter_sentinel::solver::{
-    nash_gap, GameConfig, GameEngine, Parallelism, PriceAssignment, ResponseConfig,
-};
+use netmeter_sentinel::solver::{nash_gap, GameConfig, GameEngine, Parallelism, ResponseConfig};
 use netmeter_sentinel::types::TimeSeries;
 
 fn community(seed: u64) -> netmeter_sentinel::smarthome::Community {
@@ -141,7 +139,7 @@ fn parallel_and_sequential_engines_agree_on_conserved_quantities() {
         let gap = nash_gap(
             &community,
             &outcome.schedule,
-            PriceAssignment::Uniform(&prices),
+            &prices,
             NetMeteringTariff::default(),
             &ResponseConfig::fast(),
             &mut rng,
