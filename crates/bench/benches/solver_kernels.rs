@@ -205,7 +205,7 @@ fn bench(c: &mut Criterion) {
     // --- jacobi_round: one synchronous community round from a cold start
     // (every customer responds to the same zero trading field) through
     // either kernel; the workspace side carries one warm arena across
-    // customers, as a parallel worker would.
+    // customers, as the game loop does.
     let round_once = |use_workspace: bool| -> Vec<CustomerSchedule> {
         let others = TimeSeries::filled(horizon, 0.0);
         let mut ws = ResponseWorkspace::new();

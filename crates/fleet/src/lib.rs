@@ -5,8 +5,9 @@
 //! service shards across many. That shape is only viable if one
 //! community's failure cannot take down the rest — so this crate drives K
 //! communities as independent **shards**, each with its own
-//! [`SupervisedRun`], journal path, per-`(community, seed, day)` ChaCha8
-//! streams, and (via [`SupervisedOptions`]) its own storage and fault
+//! [`SupervisedRun`](nms_sim::SupervisedRun), journal path,
+//! per-`(community, seed, day)` ChaCha8 streams, and (via
+//! [`SupervisedOptions`]) its own storage and fault
 //! ledger. Shards advance in day lockstep through
 //! [`nms_par::par_map_outcomes`], the non-rethrowing map: a shard that
 //! panics or errors yields a per-item verdict instead of killing the

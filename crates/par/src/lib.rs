@@ -1,12 +1,11 @@
 //! Deterministic parallel execution layer (DESIGN.md §9).
 //!
-//! Every hot loop in this workspace — Jacobi game rounds, parameter
-//! sweeps, calibration backtests, fleet shards — is a
-//! map over independent items whose per-item randomness is derived from a
-//! `(seed, index)` pair *before* the map runs. That makes the map's output
-//! a pure function of its inputs, so running it on N worker threads must
-//! produce bit-identical results to running it on one. This crate provides
-//! exactly that contract:
+//! Every parallel loop in this workspace — parameter sweeps, calibration
+//! backtests, fleet shards — is a map over independent items whose
+//! per-item randomness is derived from a `(seed, index)` pair *before* the
+//! map runs. That makes the map's output a pure function of its inputs, so
+//! running it on N worker threads must produce bit-identical results to
+//! running it on one. This crate provides exactly that contract:
 //!
 //! - **ordered results** — `par_map(threads, items, rec, f)` returns
 //!   `f(0, &items[0]) … f(n-1, &items[n-1])` in input order, however the
@@ -40,8 +39,8 @@
 //! contract already makes the thread count observationally irrelevant.
 //! On a 1-core host every `par_map` therefore degrades to the sequential
 //! loop, which is exactly the fastest correct schedule there. Every map in
-//! the workspace is over few heavy items (game responses, sweep points,
-//! backtest days, shards), so workers pull one item at a time.
+//! the workspace is over few heavy items (sweep points, backtest days,
+//! shards), so workers pull one item at a time.
 //!
 //! **Telemetry**: every entry point takes a [`Recorder`] (pass
 //! [`NoopRecorder`](nms_obs::NoopRecorder) for none). Worker tallies are
@@ -183,54 +182,7 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    par_map_core(
-        resolve_workers(threads, items.len()),
-        items,
-        rec,
-        || (),
-        |(), index, item| f(index, item),
-    )
-}
-
-/// [`par_map`] with per-worker scratch state: `scratch()` is called once
-/// per worker (once total on the sequential path) and the resulting value
-/// is threaded mutably through every item that worker processes. This is
-/// the persistent-workspace hook solvers use to keep their hot paths
-/// allocation-free across items (DESIGN.md §11): the scratch is reused,
-/// never shared, and must be fully overwritten by `f` for the
-/// bit-identity contract to hold — `f`'s result must be a pure function of
-/// `(index, item)` regardless of what earlier items left in the scratch.
-///
-/// # Errors
-///
-/// Returns the error of the lowest-index failing item.
-///
-/// # Panics
-///
-/// Re-raises the lowest-index worker panic on the calling thread, with the
-/// item index and original message in the payload.
-pub fn par_map_scratch<T, R, E, W, S, F>(
-    threads: usize,
-    items: &[T],
-    rec: &dyn Recorder,
-    scratch: S,
-    f: F,
-) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    W: Send,
-    S: Fn() -> W + Sync,
-    F: Fn(&mut W, usize, &T) -> Result<R, E> + Sync,
-{
-    par_map_core(
-        resolve_workers(threads, items.len()),
-        items,
-        rec,
-        scratch,
-        f,
-    )
+    par_map_core(resolve_workers(threads, items.len()), items, rec, f)
 }
 
 /// Maps `f` over every item and returns one [`Outcome`] per item, in input
@@ -256,14 +208,7 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    let slots = outcomes_core(
-        resolve_workers(threads, items.len()),
-        items,
-        rec,
-        || (),
-        |(), index, item| f(index, item),
-        false,
-    );
+    let slots = outcomes_core(resolve_workers(threads, items.len()), items, rec, f, false);
     slots
         .into_iter()
         .enumerate()
@@ -280,22 +225,19 @@ where
 /// The shared rethrowing consumer: runs the engine in abort-on-first-failure
 /// mode, then replays the lowest-index failure exactly as the sequential
 /// loop would have surfaced it.
-fn par_map_core<T, R, E, W, S, F>(
+fn par_map_core<T, R, E, F>(
     workers: usize,
     items: &[T],
     rec: &dyn Recorder,
-    scratch: S,
     f: F,
 ) -> Result<Vec<R>, E>
 where
     T: Sync,
     R: Send,
     E: Send,
-    W: Send,
-    S: Fn() -> W + Sync,
-    F: Fn(&mut W, usize, &T) -> Result<R, E> + Sync,
+    F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    let slots = outcomes_core(workers, items, rec, scratch, f, true);
+    let slots = outcomes_core(workers, items, rec, f, true);
     // The counter hands indices out in increasing order and a worker stops
     // at its first failure, so every index below the lowest failure is
     // guaranteed Some(Ok) — the ascending scan below therefore reports
@@ -315,16 +257,14 @@ where
 }
 
 /// The one map engine behind every entry point. `workers` is already
-/// resolved (≤ items, ≤ host cores); `scratch` builds one per-worker state
-/// reused across that worker's items; `abort` selects fail-fast (the
+/// resolved (≤ items, ≤ host cores); `abort` selects fail-fast (the
 /// rethrowing surfaces) versus run-everything (the outcome surface). Every
 /// panic, on any path, is captured by exactly this function's
 /// `catch_unwind`, so payload handling cannot drift between surfaces.
-fn outcomes_core<T, R, E, W, S, F>(
+fn outcomes_core<T, R, E, F>(
     workers: usize,
     items: &[T],
     rec: &dyn Recorder,
-    scratch: S,
     f: F,
     abort_on_failure: bool,
 ) -> Vec<Option<Outcome<R, E>>>
@@ -332,9 +272,7 @@ where
     T: Sync,
     R: Send,
     E: Send,
-    W: Send,
-    S: Fn() -> W + Sync,
-    F: Fn(&mut W, usize, &T) -> Result<R, E> + Sync,
+    F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
     let n = items.len();
     rec.add("par_maps", 1);
@@ -343,11 +281,10 @@ where
         // Sequential path: the reference behavior. No spawns; in abort
         // mode the first failure short-circuits immediately.
         let busy = Instant::now();
-        let mut ws = scratch();
         let mut slots: Vec<Option<Outcome<R, E>>> = (0..n).map(|_| None).collect();
         let mut done = 0usize;
         for (index, item) in items.iter().enumerate() {
-            let outcome = run_item(&mut ws, index, item, &f);
+            let outcome = run_item(index, item, &f);
             let failed = !outcome.is_ok();
             slots[index] = Some(outcome);
             done += 1;
@@ -363,7 +300,6 @@ where
     let next = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let f = &f;
-    let scratch = &scratch;
     let next = &next;
     let abort = &abort;
 
@@ -377,14 +313,13 @@ where
             .map(|_| {
                 scope.spawn(move |_| {
                     let busy = Instant::now();
-                    let mut ws = scratch();
                     let mut local: Vec<(usize, Outcome<R, E>)> = Vec::new();
                     while !abort.load(Ordering::SeqCst) {
                         let index = next.fetch_add(1, Ordering::SeqCst);
                         if index >= n {
                             break;
                         }
-                        let outcome = run_item(&mut ws, index, &items[index], f);
+                        let outcome = run_item(index, &items[index], f);
                         let failed = !outcome.is_ok();
                         local.push((index, outcome));
                         if failed && abort_on_failure {
@@ -415,11 +350,11 @@ where
 }
 
 /// Runs one item under the engine's single `catch_unwind`.
-fn run_item<T, R, E, W, F>(ws: &mut W, index: usize, item: &T, f: &F) -> Outcome<R, E>
+fn run_item<T, R, E, F>(index: usize, item: &T, f: &F) -> Outcome<R, E>
 where
-    F: Fn(&mut W, usize, &T) -> Result<R, E>,
+    F: Fn(usize, &T) -> Result<R, E>,
 {
-    match catch_unwind(AssertUnwindSafe(|| f(ws, index, item))) {
+    match catch_unwind(AssertUnwindSafe(|| f(index, item))) {
         Ok(Ok(value)) => Outcome::Ok(value),
         Ok(Err(err)) => Outcome::Err(err),
         Err(payload) => Outcome::Panicked(payload_message(payload.as_ref())),
@@ -468,13 +403,7 @@ mod tests {
         items: &[T],
         f: impl Fn(usize, &T) -> Result<R, E> + Sync,
     ) -> Result<Vec<R>, E> {
-        par_map_core(
-            workers.min(items.len()),
-            items,
-            &NoopRecorder,
-            || (),
-            |(), index, item| f(index, item),
-        )
+        par_map_core(workers.min(items.len()), items, &NoopRecorder, f)
     }
 
     #[test]
@@ -515,48 +444,6 @@ mod tests {
         assert_eq!(resolve_workers(8, 3), 3.min(cores));
         assert_eq!(resolve_workers(2, 100), 2.min(cores));
         assert_eq!(resolve_workers(1, 100), 1);
-    }
-
-    #[test]
-    fn scratch_state_is_per_worker_and_results_match_sequential() {
-        // The scratch is deliberately left dirty between items; f fully
-        // overwrites it, so results must match the stateless map.
-        let items: Vec<u64> = (0..50).collect();
-        let run = |workers: usize| {
-            par_map_core(
-                workers,
-                &items,
-                &NoopRecorder,
-                Vec::<u64>::new,
-                |ws, _index, item: &u64| -> Result<u64, String> {
-                    // Reuse the buffer without clearing first: stale length
-                    // from the previous item must not leak into the result.
-                    ws.clear();
-                    ws.extend(std::iter::repeat(*item).take((*item % 7) as usize + 1));
-                    Ok(ws.iter().sum::<u64>() / ws.len() as u64 * *item)
-                },
-            )
-        };
-        let seq = run(1).unwrap();
-        for workers in [2, 4] {
-            assert_eq!(run(workers).unwrap(), seq);
-        }
-        let expected: Vec<u64> = items.iter().map(|v| v * v).collect();
-        assert_eq!(seq, expected);
-        // Public entry point with scratch.
-        let public = par_map_scratch(
-            4,
-            &items,
-            &NoopRecorder,
-            Vec::<u64>::new,
-            |ws, _i, item: &u64| -> Result<u64, String> {
-                ws.clear();
-                ws.push(*item);
-                Ok(ws[0] * ws[0])
-            },
-        )
-        .unwrap();
-        assert_eq!(public, expected);
     }
 
     #[test]

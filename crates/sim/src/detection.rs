@@ -18,14 +18,18 @@
 //! re-optimizes alone against the committed aggregate. The realization is
 //! recomputed whenever the compromise set changes.
 //!
-//! Two drivers share the same per-day stepper:
+//! Three drivers share the same per-day stepper:
 //!
 //! - [`run_long_term_detection`] — the original single-RNG run, kept
 //!   bit-identical with its pre-supervision behavior;
 //! - [`SupervisedRun`] / [`run_long_term_supervised`] — the crash-safe
 //!   variant: every day draws from its own `(seed, day)`-derived stream
 //!   and is journaled on completion, so a killed run resumes
-//!   bit-identically from the journal (see `journal` and DESIGN.md §8).
+//!   bit-identically from the journal (see `journal` and DESIGN.md §8);
+//! - [`SupervisedRun::run_speculative`] — the supervised run with the next
+//!   day's clearing and realization overlapped on a worker thread,
+//!   bit-identical to [`SupervisedRun::run`] (see `pipeline` and DESIGN.md
+//!   §15).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -542,7 +546,7 @@ pub(crate) fn prepare_day_inputs(
 }
 
 /// Simulates one detection day, mutating `state` and returning the day's
-/// journalable transcript. Both run drivers call exactly this, so a
+/// journalable transcript. Every run driver calls exactly this, so a
 /// supervised run and the legacy run behave identically given identical
 /// RNG draws. `clearing_cache` is the run's optional solver cache for the
 /// market clearing; it changes wall-clock only (hits are exact-verified —
@@ -720,11 +724,6 @@ pub(crate) fn simulate_day_with_inputs(
             state.health.slots_observed += 1;
             let observed = det.observation_map.observe(statistic).max(suspect_bucket);
             par_secs += par_watch.secs();
-            if std::env::var("NMS_DEBUG_CALIBRATION").is_ok() {
-                eprintln!(
-                    "slot {global_slot}: stat {statistic:.4} true {true_bucket} obs {observed}"
-                );
-            }
             state.observed_buckets.push(observed);
             state.accuracy.record(true_bucket, observed);
             if observed != true_bucket {
@@ -1459,21 +1458,6 @@ pub fn run_long_term_supervised(
     journal_path: impl AsRef<Path>,
 ) -> Result<LongTermRunResult, SimError> {
     SupervisedRun::new(scenario, config, seed, journal_path)?.run()
-}
-
-/// [`run_long_term_supervised`] with observability routed into `recorder`.
-///
-/// # Errors
-///
-/// Same as [`run_long_term_supervised`].
-pub fn run_long_term_supervised_recorded(
-    scenario: &PaperScenario,
-    config: &LongTermRunConfig,
-    seed: u64,
-    journal_path: impl AsRef<Path>,
-    recorder: Arc<dyn Recorder>,
-) -> Result<LongTermRunResult, SimError> {
-    SupervisedRun::new_recorded(scenario, config, seed, journal_path, recorder)?.run()
 }
 
 #[cfg(test)]

@@ -191,18 +191,6 @@ impl FaultPlan {
     }
 }
 
-/// One day of corrupted telemetry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CorruptedDay {
-    /// The aggregate grid demand the detector receives: per-slot mean of
-    /// the finite meter reports scaled to fleet size, clamped at zero like
-    /// the clean aggregate, and NaN where no meter reported a usable value.
-    pub observed: TimeSeries<f64>,
-    /// Tally of the faults actually injected (day-level faults count once
-    /// per meter, slot-level faults once per meter-slot).
-    pub injected: FaultCounts,
-}
-
 /// One day of corrupted telemetry kept at per-meter granularity, so the
 /// caller can judge individual meters (quarantine) before aggregating.
 ///
@@ -358,20 +346,6 @@ pub fn corrupt_day_meters(
     }
 }
 
-/// Corrupts one day of per-meter telemetry and re-aggregates it into the
-/// community grid-demand series the detector will see.
-///
-/// Equivalent to [`corrupt_day_meters`] followed by
-/// [`CorruptedMeters::aggregate`]; kept for callers that never inspect
-/// individual meters.
-pub fn corrupt_day(plan: &FaultPlan, day: usize, schedule: &CommunitySchedule) -> CorruptedDay {
-    let per_meter = corrupt_day_meters(plan, day, schedule);
-    CorruptedDay {
-        observed: per_meter.aggregate(),
-        injected: per_meter.injected,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,14 +370,15 @@ mod tests {
         let schedule = realized_schedule();
         let plan = FaultPlan::none(9);
         assert!(plan.is_noop());
-        let corrupted = corrupt_day(&plan, 0, &schedule);
+        let corrupted = corrupt_day_meters(&plan, 0, &schedule);
         assert_eq!(corrupted.injected.total(), 0);
+        let observed = corrupted.aggregate();
         let clean = schedule.grid_demand_clamped();
         for h in 0..schedule.horizon().slots() {
             assert!(
-                (corrupted.observed[h] - clean[h]).abs() < 1e-9,
+                (observed[h] - clean[h]).abs() < 1e-9,
                 "slot {h}: {} vs {}",
-                corrupted.observed[h],
+                observed[h],
                 clean[h]
             );
         }
@@ -413,12 +388,13 @@ mod tests {
     fn corruption_is_deterministic_per_seed_and_day() {
         let schedule = realized_schedule();
         let plan = FaultPlan::degraded(3, 0.2);
-        let a = corrupt_day(&plan, 4, &schedule);
-        let b = corrupt_day(&plan, 4, &schedule);
-        assert_eq!(a, b);
+        let a = corrupt_day_meters(&plan, 4, &schedule);
+        let b = corrupt_day_meters(&plan, 4, &schedule);
+        assert_eq!(a.aggregate(), b.aggregate());
+        assert_eq!(a.injected, b.injected);
         // A different day draws a different fault pattern.
-        let c = corrupt_day(&plan, 5, &schedule);
-        assert!(a.observed != c.observed || a.injected != c.injected);
+        let c = corrupt_day_meters(&plan, 5, &schedule);
+        assert!(a.aggregate() != c.aggregate() || a.injected != c.injected);
     }
 
     #[test]
@@ -436,7 +412,7 @@ mod tests {
             outage: None,
         };
         plan.validate().unwrap();
-        let corrupted = corrupt_day(&plan, 1, &schedule);
+        let corrupted = corrupt_day_meters(&plan, 1, &schedule);
         assert!(corrupted.injected.total() > 0);
         assert!(corrupted.injected.dropped > 0);
         assert!(corrupted.injected.non_finite > 0);
@@ -447,12 +423,12 @@ mod tests {
         let schedule = realized_schedule();
         let mut plan = FaultPlan::none(2);
         plan.report_rate = 0.0;
-        let corrupted = corrupt_day(&plan, 0, &schedule);
+        let corrupted = corrupt_day_meters(&plan, 0, &schedule);
         assert_eq!(
             corrupted.injected.unreported,
             schedule.customer_schedules().len()
         );
-        assert!(corrupted.observed.iter().all(|v| v.is_nan()));
+        assert!(corrupted.aggregate().iter().all(|v| v.is_nan()));
     }
 
     #[test]
@@ -472,25 +448,24 @@ mod tests {
         assert!(plan.validate().is_err());
         // drop_rate clamps to 1.0 and report_rate to 1.0: every meter
         // reports, every slot drops.
-        let corrupted = corrupt_day(&plan, 0, &schedule);
+        let corrupted = corrupt_day_meters(&plan, 0, &schedule);
         let slots = schedule.horizon().slots();
         let meters = schedule.customer_schedules().len();
         assert_eq!(corrupted.injected.dropped, slots * meters);
         assert_eq!(corrupted.injected.unreported, 0);
-        assert!(corrupted.observed.iter().all(|v| v.is_nan()));
+        assert!(corrupted.aggregate().iter().all(|v| v.is_nan()));
     }
 
     #[test]
-    fn per_meter_view_matches_aggregate_wrapper() {
+    fn aggregate_excludes_no_meter() {
         let schedule = realized_schedule();
         let plan = FaultPlan::degraded(7, 0.15);
         let per_meter = corrupt_day_meters(&plan, 3, &schedule);
-        let wrapped = corrupt_day(&plan, 3, &schedule);
-        assert_eq!(per_meter.injected, wrapped.injected);
         assert_eq!(per_meter.fleet(), schedule.customer_schedules().len());
         let aggregated = per_meter.aggregate();
+        let unexcluded = per_meter.aggregate_excluding(&vec![false; per_meter.fleet()]);
         for h in 0..schedule.horizon().slots() {
-            let (a, b) = (aggregated[h], wrapped.observed[h]);
+            let (a, b) = (aggregated[h], unexcluded[h]);
             assert!(a == b || (a.is_nan() && b.is_nan()), "slot {h}: {a} vs {b}");
         }
     }

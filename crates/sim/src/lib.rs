@@ -51,13 +51,11 @@ mod weather;
 pub use calibrate::DetectorCalibration;
 pub use detection::{
     run_long_term_detection, run_long_term_detection_recorded, run_long_term_supervised,
-    run_long_term_supervised_recorded, DayCacheConfig, LongTermRunConfig, LongTermRunResult,
+    DayCacheConfig, LongTermRunConfig, LongTermRunResult,
     SupervisedOptions, SupervisedRun,
 };
 pub use error::SimError;
-pub use faults::{
-    corrupt_day, corrupt_day_meters, CorruptedDay, CorruptedMeters, FaultPlan, MeterOutage,
-};
+pub use faults::{corrupt_day_meters, CorruptedMeters, FaultPlan, MeterOutage};
 pub use market::{DayOutcome, Market};
 pub use pipeline::SpeculationReport;
 pub use nms_par::Parallelism;

@@ -5,7 +5,7 @@
 //! PV penetration, and the attack window shape the grid's load and the
 //! attack surface.
 
-use nms_obs::{NoopRecorder, Recorder};
+use nms_obs::NoopRecorder;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -65,26 +65,9 @@ pub fn sweep_tariff(
     w_values: &[f64],
     parallelism: &Parallelism,
 ) -> Result<Vec<SweepPoint>, SimError> {
-    sweep_tariff_recorded(scenario, w_values, parallelism, &NoopRecorder)
-}
-
-/// [`sweep_tariff`] with worker telemetry routed into `rec` (see
-/// [`par_map`]). The sweep's results are unaffected.
-///
-/// # Errors
-///
-/// Same as [`sweep_tariff`].
-pub fn sweep_tariff_recorded(
-    scenario: &PaperScenario,
-    w_values: &[f64],
-    parallelism: &Parallelism,
-    rec: &dyn Recorder,
-) -> Result<Vec<SweepPoint>, SimError> {
     // Every point seeds its own RNG from the scenario, so points are
     // independent and the parallel sweep is bit-identical to sequential.
-    // Workers clear unrecorded: the game layer emits trace events, which
-    // the nms-obs contract keeps out of parallel regions.
-    par_map(parallelism.threads, w_values, rec, |_, &w| {
+    par_map(parallelism.threads, w_values, &NoopRecorder, |_, &w| {
         let mut swept = scenario.clone();
         swept.tariff = NetMeteringTariff::new(w)?;
         clear_point(&swept, w)
@@ -102,24 +85,10 @@ pub fn sweep_pv_ownership(
     ownership_values: &[f64],
     parallelism: &Parallelism,
 ) -> Result<Vec<SweepPoint>, SimError> {
-    sweep_pv_ownership_recorded(scenario, ownership_values, parallelism, &NoopRecorder)
-}
-
-/// [`sweep_pv_ownership`] with worker telemetry routed into `rec`.
-///
-/// # Errors
-///
-/// Same as [`sweep_pv_ownership`].
-pub fn sweep_pv_ownership_recorded(
-    scenario: &PaperScenario,
-    ownership_values: &[f64],
-    parallelism: &Parallelism,
-    rec: &dyn Recorder,
-) -> Result<Vec<SweepPoint>, SimError> {
     par_map(
         parallelism.threads,
         ownership_values,
-        rec,
+        &NoopRecorder,
         |_, &ownership| {
             let mut swept = scenario.clone();
             swept.pv_ownership = ownership;
@@ -188,43 +157,38 @@ pub fn sweep_attack_window(
     start_hours: &[f64],
     parallelism: &Parallelism,
 ) -> Result<Vec<AttackWindowPoint>, SimError> {
-    sweep_attack_window_recorded(scenario, start_hours, parallelism, &NoopRecorder)
-}
-
-/// [`sweep_attack_window`] with worker telemetry routed into `rec`.
-///
-/// # Errors
-///
-/// Same as [`sweep_attack_window`].
-pub fn sweep_attack_window_recorded(
-    scenario: &PaperScenario,
-    start_hours: &[f64],
-    parallelism: &Parallelism,
-    rec: &dyn Recorder,
-) -> Result<Vec<AttackWindowPoint>, SimError> {
     let market = Market::new(scenario)?;
     let generator = scenario.generator();
     let weather = scenario.weather_factors(1);
     let community = generator.community_for_day(0, weather[0]);
     let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xa77ac);
-    let clean = market.clear_day(&community, 2, rng.gen(), rec, None)?;
+    let clean = market.clear_day(&community, 2, rng.gen(), &NoopRecorder, None)?;
 
-    par_map(parallelism.threads, start_hours, rec, |_, &from_hour| {
-        let attack = PriceAttack::zero_window(from_hour, from_hour + 1.0)?;
-        let manipulated = attack.apply(&clean.price);
-        let mut attacked_rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xa77ac);
-        let attacked = market
-            .truth_model()
-            .predict(&community, &manipulated, &mut attacked_rng, &NoopRecorder, None)?;
-        Ok(AttackWindowPoint {
-            from_hour,
-            attacked_par: attacked.par,
-            peak_slot: attacked.grid_demand.peak_slot(),
-            solver_rounds: attacked.rounds,
-            cache_hits: attacked.cache.hits,
-            cache_misses: attacked.cache.misses,
-        })
-    })
+    par_map(
+        parallelism.threads,
+        start_hours,
+        &NoopRecorder,
+        |_, &from_hour| {
+            let attack = PriceAttack::zero_window(from_hour, from_hour + 1.0)?;
+            let manipulated = attack.apply(&clean.price);
+            let mut attacked_rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xa77ac);
+            let attacked = market.truth_model().predict(
+                &community,
+                &manipulated,
+                &mut attacked_rng,
+                &NoopRecorder,
+                None,
+            )?;
+            Ok(AttackWindowPoint {
+                from_hour,
+                attacked_par: attacked.par,
+                peak_slot: attacked.grid_demand.peak_slot(),
+                solver_rounds: attacked.rounds,
+                cache_hits: attacked.cache.hits,
+                cache_misses: attacked.cache.misses,
+            })
+        },
+    )
 }
 
 /// One row of the fault-tolerance sweep: detection quality for both
@@ -262,55 +226,46 @@ pub fn sweep_fault_tolerance(
     fault_rates: &[f64],
     parallelism: &Parallelism,
 ) -> Result<Vec<FaultTolerancePoint>, SimError> {
-    sweep_fault_tolerance_recorded(scenario, fault_rates, parallelism, &NoopRecorder)
-}
-
-/// [`sweep_fault_tolerance`] with worker telemetry routed into `rec`.
-///
-/// # Errors
-///
-/// Same as [`sweep_fault_tolerance`].
-pub fn sweep_fault_tolerance_recorded(
-    scenario: &PaperScenario,
-    fault_rates: &[f64],
-    parallelism: &Parallelism,
-    rec: &dyn Recorder,
-) -> Result<Vec<FaultTolerancePoint>, SimError> {
-    par_map(parallelism.threads, fault_rates, rec, |_, &rate| {
-        let plan = (rate > 0.0).then(|| FaultPlan::degraded(scenario.seed ^ 0xfa_017, rate));
-        let run = |mode: DetectorMode| -> Result<LongTermRunResult, SimError> {
-            let config = LongTermRunConfig {
-                detection_days: 2,
-                detector: Some(FrameworkConfig::new(mode, 24)),
-                timeline: paper_timeline(scenario.customers),
-                buckets: 6,
-                bucket_fraction_step: 0.1,
-                labor_per_fix: 10.0,
-                labor_per_meter: 1.0,
-                faults: plan,
-                sanitize: SanitizeConfig::default(),
-                retry: RetryPolicy::default(),
-                budget: SolveBudget::unlimited(),
-                quarantine: QuarantineConfig::default(),
-                parallelism: Default::default(),
-                clearing_iterations: 2,
+    par_map(
+        parallelism.threads,
+        fault_rates,
+        &NoopRecorder,
+        |_, &rate| {
+            let plan = (rate > 0.0).then(|| FaultPlan::degraded(scenario.seed ^ 0xfa_017, rate));
+            let run = |mode: DetectorMode| -> Result<LongTermRunResult, SimError> {
+                let config = LongTermRunConfig {
+                    detection_days: 2,
+                    detector: Some(FrameworkConfig::new(mode, 24)),
+                    timeline: paper_timeline(scenario.customers),
+                    buckets: 6,
+                    bucket_fraction_step: 0.1,
+                    labor_per_fix: 10.0,
+                    labor_per_meter: 1.0,
+                    faults: plan,
+                    sanitize: SanitizeConfig::default(),
+                    retry: RetryPolicy::default(),
+                    budget: SolveBudget::unlimited(),
+                    quarantine: QuarantineConfig::default(),
+                    parallelism: Default::default(),
+                    clearing_iterations: 2,
+                };
+                let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xfa_417);
+                run_long_term_detection(scenario, &config, &mut rng)
             };
-            let mut rng = ChaCha8Rng::seed_from_u64(scenario.seed ^ 0xfa_417);
-            run_long_term_detection(scenario, &config, &mut rng)
-        };
-        let aware = run(DetectorMode::NetMeteringAware)?;
-        let naive = run(DetectorMode::IgnoreNetMetering)?;
-        Ok(FaultTolerancePoint {
-            fault_rate: rate,
-            aware_accuracy: aware.accuracy.accuracy().unwrap_or(0.0),
-            naive_accuracy: naive.accuracy.accuracy().unwrap_or(0.0),
-            aware_par: aware.par,
-            naive_par: naive.par,
-            slots_imputed: aware.health.slots_imputed + naive.health.slots_imputed,
-            faults_injected: aware.health.faults_injected.total()
-                + naive.health.faults_injected.total(),
-        })
-    })
+            let aware = run(DetectorMode::NetMeteringAware)?;
+            let naive = run(DetectorMode::IgnoreNetMetering)?;
+            Ok(FaultTolerancePoint {
+                fault_rate: rate,
+                aware_accuracy: aware.accuracy.accuracy().unwrap_or(0.0),
+                naive_accuracy: naive.accuracy.accuracy().unwrap_or(0.0),
+                aware_par: aware.par,
+                naive_par: naive.par,
+                slots_imputed: aware.health.slots_imputed + naive.health.slots_imputed,
+                faults_injected: aware.health.faults_injected.total()
+                    + naive.health.faults_injected.total(),
+            })
+        },
+    )
 }
 
 #[cfg(test)]

@@ -13,7 +13,8 @@
 //! `price ← design(demand(price))` runs on a finite price grid, reaches a
 //! bitwise fixed point or a short cycle within a few iterations, and every
 //! later iteration re-poses an earlier solve input-for-input. Inside one
-//! solve, Jacobi limit cycles repeat rounds the same way. No hit ever
+//! solve, a sweep whose schedules settle into a limit cycle repeats
+//! rounds the same way. No hit ever
 //! crosses a day: the customer fingerprint in every key covers task energy
 //! and window, which the scenario resamples each day, so an entry can no
 //! longer be reached once the community that produced it is gone. A cache

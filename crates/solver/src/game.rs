@@ -3,15 +3,13 @@
 //! Customers share their trading amounts `y_n^h`; each in turn re-solves
 //! Problem P1 against the aggregate of the others, until the largest
 //! per-slot trading change across a full round falls under a tolerance
-//! (Gauss–Seidel), or for a fixed number of Jacobi rounds when running the
-//! parallel variant.
+//! (a Gauss–Seidel sweep).
 
 use nms_obs::{names, span, NoopRecorder, Recorder, TraceEvent};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-use nms_par::Parallelism;
 use nms_pricing::{CostModel, NetMeteringTariff, PriceSignal};
 use nms_smarthome::{Community, CommunitySchedule, Customer, CustomerSchedule};
 use nms_types::{Fnv1a, ValidateError};
@@ -29,19 +27,6 @@ pub struct GameConfig {
     pub tolerance: f64,
     /// Per-customer best-response settings.
     pub response: ResponseConfig,
-    /// Worker threads for parallel Jacobi rounds; `threads == 1` selects
-    /// the sequential Gauss–Seidel iteration (better convergence, the
-    /// paper's formulation). Configurations serialized before this knob
-    /// existed load as sequential.
-    #[serde(default)]
-    pub parallelism: Parallelism,
-    /// Accepted and validated, but ignored. It once keyed an unverified
-    /// per-solve memo cache on quantized inputs; that cache is gone, and
-    /// exact-verified memoization is opt-in through
-    /// [`GameEngine::solve_with`] (DESIGN.md §15). Kept so serialized
-    /// configurations keep loading.
-    #[serde(default)]
-    pub cache_quantum: f64,
 }
 
 impl GameConfig {
@@ -49,21 +34,14 @@ impl GameConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ValidateError`] on zero rounds/threads, a non-positive
-    /// tolerance, a negative or non-finite cache quantum, or an invalid
-    /// response configuration.
+    /// Returns [`ValidateError`] on zero rounds, a non-positive tolerance,
+    /// or an invalid response configuration.
     pub fn validate(&self) -> Result<(), ValidateError> {
         if self.max_rounds == 0 {
             return Err(ValidateError::new("need at least one round"));
         }
         if !(self.tolerance > 0.0 && self.tolerance.is_finite()) {
             return Err(ValidateError::new("tolerance must be positive"));
-        }
-        self.parallelism.validate().map_err(ValidateError::new)?;
-        if !(self.cache_quantum >= 0.0 && self.cache_quantum.is_finite()) {
-            return Err(ValidateError::new(
-                "cache quantum must be finite and non-negative",
-            ));
         }
         self.response.validate()
     }
@@ -74,8 +52,6 @@ impl GameConfig {
             max_rounds: 6,
             tolerance: 0.05,
             response: ResponseConfig::fast(),
-            parallelism: Parallelism::SEQUENTIAL,
-            cache_quantum: 0.0,
         }
     }
 }
@@ -86,8 +62,6 @@ impl Default for GameConfig {
             max_rounds: 12,
             tolerance: 0.01,
             response: ResponseConfig::default(),
-            parallelism: Parallelism::SEQUENTIAL,
-            cache_quantum: 0.0,
         }
     }
 }
@@ -206,11 +180,10 @@ impl<'a> GameEngine<'a> {
     ///
     /// Per-customer seeds for every round are drawn from `rng` up front and
     /// regardless of cache hits, so the draw order (and therefore any
-    /// downstream consumer of `rng`) is identical across thread counts and
-    /// cache settings.
+    /// downstream consumer of `rng`) is identical across cache settings.
     ///
     /// `rec` receives solver telemetry: per-round `game_round` events
-    /// (Jacobi/Gauss–Seidel residuals), a closing `game_solved` event,
+    /// (Gauss–Seidel residuals), a closing `game_solved` event,
     /// `solver_round_delta` observations, and `solver_games` /
     /// `solver_rounds` / `solver_cache_*` counters — plus everything
     /// [`best_response_recorded`](crate::best_response_recorded) tallies per
@@ -249,8 +222,8 @@ impl<'a> GameEngine<'a> {
         let mut converged = false;
         let mut rounds = 0;
         let mut stats = CacheStats::default();
-        // One scratch arena reused across every sequential best response;
-        // parallel rounds hold one per worker instead (DESIGN.md §11).
+        // One scratch arena reused across every best response (DESIGN.md
+        // §11).
         let mut ws = ResponseWorkspace::default();
 
         // Per-solve fingerprints for the persistent key: each customer's
@@ -297,112 +270,66 @@ impl<'a> GameEngine<'a> {
 
         for _round in 0..self.config.max_rounds {
             rounds += 1;
-            // Seeds drawn up front so sequential and parallel rounds use the
-            // same per-customer randomness.
+            // Seeds drawn up front, one per customer, whether or not the
+            // cache answers its response.
             let seeds: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
             let mut round_delta = 0.0_f64;
             if tally_rounds {
                 stats.hits_by_round.push(0);
             }
 
-            if self.config.parallelism.threads <= 1 {
-                // Gauss–Seidel over the flat lanes: others = total − lane,
-                // solve, then total = others + response — the exact per-slot
-                // operations the series path performed, each a tight loop
-                // over contiguous f64 slices.
-                for (index, customer) in self.community.iter().enumerate() {
-                    batch.fill_others(index);
-                    let probe = probe(
-                        &batch,
-                        index,
-                        persistent.as_deref_mut(),
-                        &persist_meta,
-                        &warm_fps,
-                        &mut stats,
-                    );
-                    let response = match probe {
-                        Probe::Hit(hit, response_fp) => {
-                            warm_fps[index] = response_fp;
-                            hit
-                        }
-                        Probe::Miss(key) => {
-                            let mut child = ChaCha8Rng::seed_from_u64(seeds[index]);
-                            let response = best_response_in(
-                                customer,
-                                batch.others(),
-                                cost_model,
-                                &self.config.response,
-                                schedules[index].as_ref(),
-                                &mut child,
-                                rec,
-                                &mut ws,
-                            )?;
-                            if let Some(fp) = store(key, &response, persistent.as_deref_mut()) {
-                                warm_fps[index] = fp;
-                            }
-                            response
-                        }
-                    };
-                    let delta = batch.max_abs_delta(index, response.trading().as_slice());
-                    round_delta = round_delta.max(delta);
-                    batch.commit_gauss_seidel(index, response.trading().as_slice());
-                    schedules[index] = Some(response);
-                }
-                // Round boundary: rebuild `total` from the lanes, exactly as
-                // the Jacobi branch does. The incremental per-commit update
-                // (`total = others + response`) accumulates a different
-                // floating-point rounding history every round, so a game
-                // whose discrete schedules settle into a limit cycle would
-                // still never present bitwise-repeating inputs and the
-                // persistent cache's exact verification could never hit.
-                // Re-accumulating from the lanes makes the round-boundary
-                // state a pure function of the lanes themselves: periodic
-                // schedules now give bitwise-periodic rounds.
-                batch.rebuild_total();
-            } else {
-                // Jacobi: all respond to the same snapshot of the lanes, in
-                // parallel. Cache lookups run sequentially against the
-                // snapshot; only the misses fan out to the worker pool. The
-                // lanes stay untouched until the commit loop below, so the
-                // whole round reads one consistent snapshot.
-                let mut responses: Vec<Option<CustomerSchedule>> = vec![None; n];
-                let mut misses: Vec<(usize, Option<PersistentKey>)> = Vec::new();
-                for index in 0..n {
-                    batch.fill_others(index);
-                    let probe = probe(
-                        &batch,
-                        index,
-                        persistent.as_deref_mut(),
-                        &persist_meta,
-                        &warm_fps,
-                        &mut stats,
-                    );
-                    match probe {
-                        Probe::Hit(hit, response_fp) => {
-                            warm_fps[index] = response_fp;
-                            responses[index] = Some(hit);
-                        }
-                        Probe::Miss(key) => misses.push((index, key)),
+            // Gauss–Seidel over the flat lanes: others = total − lane,
+            // solve, then total = others + response — the exact per-slot
+            // operations the series path performed, each a tight loop
+            // over contiguous f64 slices.
+            for (index, customer) in self.community.iter().enumerate() {
+                batch.fill_others(index);
+                let probe = probe(
+                    &batch,
+                    index,
+                    persistent.as_deref_mut(),
+                    &persist_meta,
+                    &warm_fps,
+                    &mut stats,
+                );
+                let response = match probe {
+                    Probe::Hit(hit, response_fp) => {
+                        warm_fps[index] = response_fp;
+                        hit
                     }
-                }
-                let miss_indices: Vec<usize> = misses.iter().map(|(index, _)| *index).collect();
-                let computed =
-                    self.parallel_round(&batch, &schedules, &seeds, &miss_indices, rec)?;
-                for ((index, key), response) in misses.into_iter().zip(computed) {
-                    if let Some(fp) = store(key, &response, persistent.as_deref_mut()) {
-                        warm_fps[index] = fp;
+                    Probe::Miss(key) => {
+                        let mut child = ChaCha8Rng::seed_from_u64(seeds[index]);
+                        let response = best_response_in(
+                            customer,
+                            batch.others(),
+                            cost_model,
+                            &self.config.response,
+                            schedules[index].as_ref(),
+                            &mut child,
+                            rec,
+                            &mut ws,
+                        )?;
+                        if let Some(fp) = store(key, &response, persistent.as_deref_mut()) {
+                            warm_fps[index] = fp;
+                        }
+                        response
                     }
-                    responses[index] = Some(response);
-                }
-                for (index, response) in responses.into_iter().enumerate() {
-                    let response = response.expect("every customer answered this round");
-                    let delta = batch.max_abs_delta(index, response.trading().as_slice());
-                    round_delta = round_delta.max(delta);
-                    batch.set_lane(index, response.trading().as_slice());
-                    schedules[index] = Some(response);
-                }
-                batch.rebuild_total();
+                };
+                let delta = batch.max_abs_delta(index, response.trading().as_slice());
+                round_delta = round_delta.max(delta);
+                batch.commit_gauss_seidel(index, response.trading().as_slice());
+                schedules[index] = Some(response);
             }
+            // Round boundary: rebuild `total` from the lanes. The incremental
+            // per-commit update (`total = others + response`) accumulates a
+            // different floating-point rounding history every round, so a
+            // game whose discrete schedules settle into a limit cycle would
+            // still never present bitwise-repeating inputs and the
+            // persistent cache's exact verification could never hit.
+            // Re-accumulating from the lanes makes the round-boundary state
+            // a pure function of the lanes themselves: periodic schedules
+            // give bitwise-periodic rounds.
+            batch.rebuild_total();
 
             history.push(round_delta);
             rec.observe("solver_round_delta", round_delta);
@@ -452,46 +379,6 @@ impl<'a> GameEngine<'a> {
             history,
             cache: stats,
         })
-    }
-
-    /// One parallel Jacobi round over the given customer indices (the cache
-    /// misses; every index when the cache is disabled), via the ordered
-    /// deterministic [`nms_par::par_map`]. Workers read the immutable lane
-    /// snapshot and fill others into a per-worker scratch buffer.
-    fn parallel_round(
-        &self,
-        batch: &BatchResponseWorkspace,
-        schedules: &[Option<CustomerSchedule>],
-        seeds: &[u64],
-        indices: &[usize],
-        rec: &dyn Recorder,
-    ) -> Result<Vec<CustomerSchedule>, SolverError> {
-        // Workers record only the commutative metric methods (via
-        // best_response_in), so totals stay reproducible at any
-        // thread count. Each worker owns one scratch arena plus an others
-        // buffer for its whole run, so steady-state rounds allocate nothing
-        // per response.
-        nms_par::par_map_scratch(
-            self.config.parallelism.threads,
-            indices,
-            rec,
-            || (ResponseWorkspace::default(), Vec::new()),
-            |(ws, others), _, &index| {
-                let customer = &self.community.customers()[index];
-                batch.fill_others_into(index, others);
-                let mut child = ChaCha8Rng::seed_from_u64(seeds[index]);
-                best_response_in(
-                    customer,
-                    others.as_slice(),
-                    CostModel::new(self.prices, self.tariff),
-                    &self.config.response,
-                    schedules[index].as_ref(),
-                    &mut child,
-                    rec,
-                    ws,
-                )
-            },
-        )
     }
 
     /// Fingerprint of everything a persistently cached response depends on
@@ -733,24 +620,6 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(GameConfig {
-            parallelism: Parallelism::new(0),
-            ..GameConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(GameConfig {
-            cache_quantum: -1.0,
-            ..GameConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(GameConfig {
-            cache_quantum: f64::NAN,
-            ..GameConfig::default()
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]
@@ -838,72 +707,6 @@ mod tests {
         // The last round's delta is within tolerance iff converged.
         let last = *outcome.history.last().unwrap();
         assert_eq!(outcome.converged, last <= engine.config().tolerance);
-    }
-
-    #[test]
-    fn parallel_matches_shape_of_sequential() {
-        let community = small_community(4, true);
-        let prices = tou_prices();
-        let mut sequential_config = GameConfig::fast();
-        sequential_config.max_rounds = 4;
-        let engine = GameEngine::new(
-            &community,
-            &prices,
-            NetMeteringTariff::default(),
-            sequential_config,
-        )
-        .unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
-        let sequential = engine.solve(&mut rng).unwrap();
-
-        let mut parallel_config = sequential_config;
-        parallel_config.parallelism = Parallelism::new(4);
-        let engine = GameEngine::new(
-            &community,
-            &prices,
-            NetMeteringTariff::default(),
-            parallel_config,
-        )
-        .unwrap();
-        let mut rng2 = ChaCha8Rng::seed_from_u64(13);
-        let parallel = engine.solve(&mut rng2).unwrap();
-
-        // Jacobi and Gauss–Seidel won't agree exactly, but total consumed
-        // energy must (it is constraint-pinned), and demand shapes should
-        // correlate.
-        let seq_total = sequential.schedule.load().total().value();
-        let par_total = parallel.schedule.load().total().value();
-        assert!((seq_total - par_total).abs() < 1e-6);
-    }
-
-    #[test]
-    fn jacobi_rounds_are_thread_count_invariant() {
-        // Jacobi customers respond to a per-round snapshot with pre-drawn
-        // per-customer seeds, so the worker count cannot affect the result.
-        let community = small_community(5, true);
-        let prices = tou_prices();
-        let run = |threads: usize| {
-            let mut config = GameConfig::fast();
-            config.max_rounds = 3;
-            config.parallelism = Parallelism::new(threads);
-            let engine =
-                GameEngine::new(&community, &prices, NetMeteringTariff::default(), config).unwrap();
-            let mut rng = ChaCha8Rng::seed_from_u64(21);
-            engine.solve(&mut rng).unwrap()
-        };
-        let two = run(2);
-        let four = run(4);
-        assert_eq!(two.history, four.history);
-        assert_eq!(two.rounds, four.rounds);
-        for (a, b) in two
-            .schedule
-            .customer_schedules()
-            .iter()
-            .zip(four.schedule.customer_schedules())
-        {
-            assert_eq!(a.trading(), b.trading());
-            assert_eq!(a.battery(), b.battery());
-        }
     }
 
     #[test]
@@ -1059,57 +862,6 @@ mod tests {
             outcome.cache.hits_by_round.first().copied().unwrap_or(0),
             0,
             "round one after invalidation cannot hit"
-        );
-    }
-
-    #[test]
-    fn memo_cache_preserves_loads_and_hits_late_rounds() {
-        // Battery-less customers make the best response pure deterministic
-        // DP, and the Jacobi iteration settles into an exact period-2 limit
-        // cycle after a few rounds: every late round re-solves a problem the
-        // cache has already seen, while the round delta stays above tolerance
-        // so the run keeps going. A hit returns exactly what recomputation
-        // would, so loads are bit-identical with the cache on or off.
-        let community = small_community(4, false);
-        let prices = tou_prices();
-        let mut config = GameConfig::fast();
-        config.max_rounds = 12;
-        config.tolerance = 1e-6;
-        config.parallelism = Parallelism::new(2);
-        let engine =
-            GameEngine::new(&community, &prices, NetMeteringTariff::default(), config).unwrap();
-        let plain = engine.solve(&mut ChaCha8Rng::seed_from_u64(23)).unwrap();
-        let mut cache = PersistentCache::new(1e-6).unwrap();
-        let cached = engine
-            .solve_with(
-                &mut ChaCha8Rng::seed_from_u64(23),
-                &NoopRecorder,
-                Some(&mut cache),
-            )
-            .unwrap();
-
-        // The cache skips re-solves but must not change what anyone
-        // consumes: per-customer load profiles are bit-identical.
-        for (a, b) in plain
-            .schedule
-            .customer_schedules()
-            .iter()
-            .zip(cached.schedule.customer_schedules())
-        {
-            assert_eq!(a.load().series(), b.load().series());
-        }
-
-        // Late rounds re-solve an (almost) identical problem and should hit.
-        assert!(cached.cache.hits > 0, "stats: {:?}", cached.cache);
-        let last_round_hits = *cached.cache.hits_by_round.last().unwrap();
-        assert!(
-            last_round_hits * 2 > community.len(),
-            "late-round hit rate too low: {:?}",
-            cached.cache
-        );
-        assert_eq!(
-            cached.cache.hits + cached.cache.misses,
-            community.len() * cached.rounds
         );
     }
 

@@ -61,7 +61,6 @@ pub use ce::{CeConfig, CeSolution, CeWorkspace, CrossEntropyOptimizer};
 pub use dp::{DpScheduler, DpWorkspace};
 pub use error::SolverError;
 pub use game::{CacheStats, GameConfig, GameEngine, GameOutcome};
-pub use nms_par::Parallelism;
 pub use nash::{nash_gap, NashGap};
 pub use response::{
     best_response_in, best_response_recorded, best_response_reference, ResponseConfig,

@@ -1,7 +1,7 @@
-//! The per-worker scratch arena for best-response solves (DESIGN.md §11).
+//! The scratch arena for best-response solves (DESIGN.md §11).
 //!
 //! One best response alternates DP appliance scheduling with a CE battery
-//! step, `inner_iters` times, inside Jacobi rounds × customers × days ×
+//! step, `inner_iters` times, inside game rounds × customers × days ×
 //! sweep points. Every buffer those kernels touch per iteration lives here,
 //! so a warm [`ResponseWorkspace`] makes the steady-state hot path
 //! allocation-free: the DP value/back-pointer tables ([`DpWorkspace`]), the
@@ -12,9 +12,8 @@
 //!
 //! Hold one workspace per thread of execution and pass it to
 //! [`best_response_in`](crate::best_response_in) for every solve: the
-//! sequential Gauss–Seidel game loop keeps a single workspace across all
-//! customers and rounds; parallel Jacobi rounds give each worker its own via
-//! [`nms_par::par_map_scratch`]. Buffers carry no state between
+//! Gauss–Seidel game loop keeps a single workspace across all customers
+//! and rounds. Buffers carry no state between
 //! solves — every solve fully reinitializes the prefix it reads — so reuse
 //! is bit-identical to fresh allocation (`tests/solver_workspace.rs` pins
 //! this byte-for-byte).

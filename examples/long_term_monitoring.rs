@@ -6,8 +6,8 @@
 //! cargo run --release --example long_term_monitoring -- --customers 60
 //! ```
 //!
-//! `--threads <n>` runs the per-day equilibrium solves with `n` Jacobi
-//! workers (clamped to the host's cores; results are bit-identical to the
+//! `--threads <n>` runs the detector's calibration backtest on `n` workers
+//! (clamped to the host's cores; results are bit-identical to the
 //! sequential default).
 //!
 //! With `--journal <path>` the run goes through the crash-safe supervised

@@ -62,28 +62,18 @@ fn solver_and_scenario_configs_roundtrip() {
 
 #[test]
 fn parallelism_roundtrips_and_defaults_sequential() {
-    use netmeter_sentinel::solver::Parallelism;
+    use netmeter_sentinel::sim::Parallelism;
 
     roundtrip(&Parallelism::SEQUENTIAL);
     roundtrip(&Parallelism::new(8));
 
-    // A GameConfig serialized before the parallelism/cache knobs existed
-    // must still load, landing on the sequential cache-free defaults that
-    // keep old runs bit-identical: strip the new keys from today's JSON to
-    // reconstruct a pre-knob config file.
+    // GameConfig once carried `parallelism` and `cache_quantum` keys. A
+    // config file written then still loads: the keys are ignored, not
+    // rejected, and the game runs its one Gauss–Seidel iteration.
     let full = serde_json::to_string(&GameConfig::default()).expect("serialize");
-    let legacy = full
-        .replace(",\"parallelism\":{\"threads\":1}", "")
-        .replace("\"parallelism\":{\"threads\":1},", "")
-        .replace(",\"cache_quantum\":0.0", "")
-        .replace("\"cache_quantum\":0.0,", "");
-    assert!(
-        !legacy.contains("parallelism") && !legacy.contains("cache_quantum"),
-        "failed to strip new keys from {legacy}"
-    );
+    let legacy = full.replacen('{', r#"{"parallelism":{"threads":4},"cache_quantum":0.5,"#, 1);
     let config: GameConfig = serde_json::from_str(&legacy).expect("legacy config loads");
-    assert_eq!(config.parallelism, Parallelism::SEQUENTIAL);
-    assert_eq!(config.cache_quantum, 0.0);
+    assert_eq!(config, GameConfig::default());
 }
 
 #[test]
