@@ -30,13 +30,15 @@ pub mod solver {
 /// Speculative day-pipeline metrics emitted by the `nms-sim` supervised
 /// runner (DESIGN.md §15).
 pub mod pipeline {
-    /// Counter: next-day speculations submitted to the pipeline worker.
+    /// Counter: days opened for precomputation (every day after a run's
+    /// first).
     pub const SPECULATION_LAUNCHED: &str = "pipeline_speculation_launched";
-    /// Counter: speculations whose compromise-set assumption held and whose
-    /// precomputed day inputs were committed.
+    /// Counter: precomputed days whose compromise-set assumption held and
+    /// whose inputs were committed.
     pub const SPECULATION_COMMITTED: &str = "pipeline_speculation_committed";
-    /// Counter: speculations discarded (assumption diverged or the worker
-    /// failed); the day recomputed inline, bit-identically.
+    /// Counter: precomputed days discarded: the assumption diverged (the
+    /// clearing is kept and the realization recomputed) or the
+    /// precomputation failed (the day is recomputed inline).
     pub const SPECULATION_DISCARDED: &str = "pipeline_speculation_discarded";
 }
 

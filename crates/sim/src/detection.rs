@@ -26,8 +26,9 @@
 //!   variant: every day draws from its own `(seed, day)`-derived stream
 //!   and is journaled on completion, so a killed run resumes
 //!   bit-identically from the journal (see `journal` and DESIGN.md §8);
-//! - [`SupervisedRun::run_speculative`] — the supervised run with the next
-//!   day's clearing and realization overlapped on a worker thread,
+//! - [`SupervisedRun::run_speculative`] — the supervised run with each next
+//!   day's clearing precomputed while the current day detects, on one
+//!   helper thread or on the main thread whenever it would otherwise wait,
 //!   bit-identical to [`SupervisedRun::run`] (see `pipeline` and DESIGN.md
 //!   §15).
 
@@ -431,7 +432,7 @@ fn faulted_view(
 }
 
 /// The sorted meter indices of a compromise set — the canonical form the
-/// speculation commit check compares.
+/// precomputation commit check compares.
 fn compromised_indices(set: &CompromiseSet) -> Vec<usize> {
     let mut indices: Vec<usize> = set.iter().map(|m| m.index()).collect();
     indices.sort_unstable();
@@ -441,7 +442,8 @@ fn compromised_indices(set: &CompromiseSet) -> Vec<usize> {
 /// Realizes one day's response for a compromise set: the committed (clean)
 /// plan with hacked homes deviating unilaterally. Pure in
 /// `(community, clean, manipulated, realization_seed, compromised)` — the
-/// property that lets a speculating worker compute it ahead of time.
+/// property that lets the day pipeline compute it ahead of time, and
+/// recompute it alone when the assumed set turns out wrong.
 fn realize_day(
     setup: &RunSetup,
     community: &Community,
@@ -469,8 +471,9 @@ fn realize_day(
 /// The belief-independent front half of one detection day: everything that
 /// is a pure function of `(scenario, config, day_offset, day RNG stream,
 /// assumed compromise set)` and can therefore be computed ahead of time by
-/// a speculating worker (DESIGN.md §15). The back half
-/// ([`simulate_day_with_inputs`]) consumes this plus the run state.
+/// the day pipeline (DESIGN.md §15). Only `realization` depends on the
+/// assumed set. The back half ([`simulate_day_with_inputs`]) consumes this
+/// plus the run state.
 pub(crate) struct DayInputs {
     /// Which detection day these inputs belong to.
     pub(crate) day_offset: usize,
@@ -545,6 +548,35 @@ pub(crate) fn prepare_day_inputs(
     })
 }
 
+/// Day `day_offset`'s inputs of a supervised run with seed `seed`, under an
+/// assumed compromise set (sorted meter indices), recorded into no
+/// recorder. Pure in `(scenario, config, seed, day_offset, assumed)`, so
+/// whichever thread of the day pipeline runs it, the inputs — and the
+/// run's telemetry — come out the same.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn precompute_day(
+    scenario: &PaperScenario,
+    config: &LongTermRunConfig,
+    setup: &RunSetup,
+    seed: u64,
+    day_offset: usize,
+    assumed: &[usize],
+    clearing_cache: Option<&mut PersistentCache>,
+) -> Result<DayInputs, SimError> {
+    let assumed: CompromiseSet = assumed.iter().map(|&m| MeterId::new(m)).collect();
+    let mut rng = ChaCha8Rng::seed_from_u64(day_stream_seed(seed, day_offset));
+    prepare_day_inputs(
+        scenario,
+        config,
+        setup,
+        day_offset,
+        &assumed,
+        &mut rng,
+        clearing_cache,
+        &NoopRecorder,
+    )
+}
+
 /// Simulates one detection day, mutating `state` and returning the day's
 /// journalable transcript. Every run driver calls exactly this, so a
 /// supervised run and the legacy run behave identically given identical
@@ -573,24 +605,26 @@ fn simulate_day(
         clearing_cache,
         rec,
     )?;
-    simulate_day_with_inputs(scenario, config, setup, state, inputs, rec)
+    simulate_day_with_inputs(scenario, config, setup, state, day_offset, inputs, rec)
 }
 
-/// The stateful back half of one detection day: prediction, slot loop,
-/// detector actions, quarantine, history roll-in. Requires
-/// `inputs.assumed` to equal the run's compromise set at day start — the
-/// speculation commit check; [`simulate_day`] satisfies it trivially by
-/// preparing inputs from the live set.
+/// The stateful back half of detection day `day_offset`: prediction, slot
+/// loop, detector actions, quarantine, history roll-in. Requires `inputs`
+/// to belong to `day_offset` and `inputs.assumed` to equal the run's
+/// compromise set at day start — the precomputation checks;
+/// [`simulate_day`] satisfies both trivially by preparing inputs for the
+/// live day and set.
 pub(crate) fn simulate_day_with_inputs(
     scenario: &PaperScenario,
     config: &LongTermRunConfig,
     setup: &RunSetup,
     state: &mut RunState,
+    day_offset: usize,
     inputs: DayInputs,
     rec: &dyn Recorder,
 ) -> Result<DayRecord, SimError> {
     let DayInputs {
-        day_offset,
+        day_offset: inputs_day,
         community,
         clean,
         manipulated,
@@ -599,9 +633,14 @@ pub(crate) fn simulate_day_with_inputs(
         realization: initial_realization,
         clearing_secs,
     } = inputs;
+    if inputs_day != day_offset {
+        return Err(SimError::Config(ValidateError::new(format!(
+            "day inputs were precomputed for day {inputs_day}, but the run is on day {day_offset}"
+        ))));
+    }
     if assumed != compromised_indices(&state.compromised) {
         return Err(SimError::Config(ValidateError::new(
-            "day inputs were speculated for a different compromise set than the run holds",
+            "day inputs were precomputed for a different compromise set than the run holds",
         )));
     }
     let fault_plan = config.faults.as_ref().filter(|plan| !plan.is_noop());
@@ -994,7 +1033,8 @@ pub struct SupervisedRun {
     scenario: PaperScenario,
     config: LongTermRunConfig,
     seed: u64,
-    setup: RunSetup,
+    /// Shared with the day pipeline's helper thread while it runs.
+    setup: Arc<RunSetup>,
     state: RunState,
     journal: RunJournal,
     next_day: usize,
@@ -1010,8 +1050,8 @@ pub struct SupervisedRun {
     /// while two runs built from independent options can never see each
     /// other's faults.
     storage: StorageFaultLedger,
-    /// The cache knob this run was built with (handed to the speculative
-    /// pipeline's worker so it caches the same way).
+    /// The cache knob this run was built with (the day pipeline's helper
+    /// thread builds its own cache from it).
     cache: DayCacheConfig,
     /// Cross-day memo cache for the market clearing's truth-model solves.
     clearing_cache: Option<PersistentCache>,
@@ -1222,7 +1262,7 @@ impl SupervisedRun {
             scenario: scenario.clone(),
             config: config.clone(),
             seed,
-            setup,
+            setup: Arc::new(setup),
             state,
             journal,
             next_day,
@@ -1308,20 +1348,38 @@ impl SupervisedRun {
         Ok(())
     }
 
-    /// Steps the next day from precomputed [`DayInputs`] — the speculative
-    /// pipeline's commit path. The inputs' assumed compromise set must
-    /// match the run's (checked again inside, returning
-    /// [`SimError::Config`] on a protocol violation).
-    pub(crate) fn step_day_with_speculated(&mut self, inputs: DayInputs) -> Result<(), SimError> {
-        debug_assert_eq!(inputs.day_offset, self.next_day);
+    /// Steps the next day from precomputed [`DayInputs`] — the day
+    /// pipeline's path. Inputs precomputed under a compromise set the run
+    /// no longer holds keep their clearing: only the realization is
+    /// recomputed, under the live set, which is bit-identical to the
+    /// inline day because [`realize_day`] is pure. Inputs for another day
+    /// fail with [`SimError::Config`].
+    pub(crate) fn step_day_with_precomputed(
+        &mut self,
+        mut inputs: DayInputs,
+    ) -> Result<(), SimError> {
         let rec = self.recorder.as_ref();
         let record = {
             let _day_span = span(rec, "detect_day");
+            let live = compromised_indices(&self.state.compromised);
+            if inputs.assumed != live {
+                inputs.realization = realize_day(
+                    &self.setup,
+                    &inputs.community,
+                    &inputs.clean,
+                    &inputs.manipulated,
+                    inputs.realization_seed,
+                    &self.state.compromised,
+                    rec,
+                )?;
+                inputs.assumed = live;
+            }
             simulate_day_with_inputs(
                 &self.scenario,
                 &self.config,
                 &self.setup,
                 &mut self.state,
+                self.next_day,
                 inputs,
                 rec,
             )?
@@ -1329,18 +1387,56 @@ impl SupervisedRun {
         self.commit_day(record)
     }
 
-    /// Everything a speculating worker needs to rebuild this run's
-    /// per-day computation independently: the scenario/config pair, the
-    /// run seed (day RNG streams derive from it), and the cache knob.
-    pub(crate) fn speculation_parts(
-        &self,
-    ) -> (PaperScenario, LongTermRunConfig, u64, DayCacheConfig) {
-        (
-            self.scenario.clone(),
-            self.config.clone(),
+    /// Precomputes day `day_offset` under `assumed` on the calling thread,
+    /// with the run's own setup and clearing cache.
+    pub(crate) fn precompute(
+        &mut self,
+        day_offset: usize,
+        assumed: &[usize],
+    ) -> Result<DayInputs, SimError> {
+        precompute_day(
+            &self.scenario,
+            &self.config,
+            &self.setup,
             self.seed,
-            self.cache,
+            day_offset,
+            assumed,
+            self.clearing_cache.as_mut(),
         )
+    }
+
+    /// The same precomputation for a helper thread: it owns copies of the
+    /// run's configuration, shares its setup, and keeps a clearing cache of
+    /// its own, built from the run's cache knob.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Config`] when the cache knob is invalid.
+    pub(crate) fn precompute_helper(
+        &self,
+    ) -> Result<impl FnMut(usize, &[usize]) -> Result<DayInputs, SimError> + Send + 'static, SimError>
+    {
+        let scenario = self.scenario.clone();
+        let config = self.config.clone();
+        let setup = Arc::clone(&self.setup);
+        let seed = self.seed;
+        let mut cache = self.cache.build()?;
+        Ok(move |day_offset: usize, assumed: &[usize]| {
+            precompute_day(
+                &scenario,
+                &config,
+                &setup,
+                seed,
+                day_offset,
+                assumed,
+                cache.as_mut(),
+            )
+        })
+    }
+
+    /// Detection days this run covers.
+    pub(crate) fn detection_days(&self) -> usize {
+        self.config.detection_days
     }
 
     /// The run's compromise set right now, in canonical sorted-index form.
@@ -1351,8 +1447,9 @@ impl SupervisedRun {
     /// The compromise set expected at the *start* of day `day_offset + 1`,
     /// assuming the detector dispatches no fix during day `day_offset`:
     /// the current set plus every scripted timeline event in that day's
-    /// slots. This is the speculation's assumption — a fix mid-day makes
-    /// it diverge, which the commit check catches.
+    /// slots. This is the day pipeline's assumption for day
+    /// `day_offset + 1` — a fix mid-day makes it diverge, which the commit
+    /// check catches.
     pub(crate) fn project_compromised_after(&self, day_offset: usize) -> Vec<usize> {
         let mut projected = self.state.compromised.clone();
         for slot in 0..SLOTS_PER_DAY {
@@ -1365,7 +1462,7 @@ impl SupervisedRun {
         compromised_indices(&projected)
     }
 
-    /// The run's recorder (shared with the speculative driver's counters).
+    /// The run's recorder (shared with the day pipeline's counters).
     pub(crate) fn rec(&self) -> &dyn Recorder {
         self.recorder.as_ref()
     }
